@@ -77,9 +77,8 @@ type Backend = core.Backend
 
 // Registered index backends.
 const (
-	BackendFlat       = core.BackendFlat
-	BackendCSR        = core.BackendCSR
-	BackendCSRSharded = core.BackendCSRSharded
+	BackendFlat = core.BackendFlat
+	BackendCSR  = core.BackendCSR
 )
 
 // Query is a graph-pattern join query. Build one with the pattern
@@ -375,10 +374,9 @@ func (g *Graph) Prepare(q *Query, opts Options) (*Prepared, error) {
 func (g *Graph) DB() *core.DB { return g.s.db }
 
 // Options select and configure an engine. Algorithm and Backend are typed —
-// use the exported constants (LFTJ, MS, ..., BackendFlat, BackendCSR,
-// BackendCSRSharded); string literals still assign for convenience, and
-// Prepare rejects unknown names eagerly with ErrUnknownAlgorithm /
-// ErrUnknownBackend.
+// use the exported constants (LFTJ, MS, ..., BackendFlat, BackendCSR);
+// string literals still assign for convenience, and Prepare rejects unknown
+// names eagerly with ErrUnknownAlgorithm / ErrUnknownBackend.
 type Options struct {
 	// Algorithm selects the engine: LFTJ, MS, Hybrid, PSQL, MonetDB,
 	// Yannakakis, GraphLab, or GenericJoin. Empty defaults to LFTJ.
@@ -393,10 +391,8 @@ type Options struct {
 	// engines (lftj, ms): BackendCSR (the default — materialized CSR trie
 	// levels, built once per index at Prepare time, with O(1) child-range
 	// resolution on the join hot path and incremental maintenance through
-	// delta overlays), BackendCSRSharded (the CSR trie partitioned into
-	// disjoint first-attribute shards; parallel Counts bind one shard per
-	// worker job), or BackendFlat (binary search over the sorted rows — no
-	// extra memory, and the reference the other backends are
+	// delta overlays) or BackendFlat (binary search over the sorted rows —
+	// no extra memory, and the reference the CSR backend is
 	// differential-tested against). Other engines ignore it.
 	Backend Backend
 	// Idea toggles for the ablation experiments (all ideas default on).

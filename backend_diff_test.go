@@ -37,12 +37,12 @@ func sortedRows(rows [][]int64) {
 }
 
 // backendMatrix is every index backend, reference first.
-var backendMatrix = []Backend{BackendFlat, BackendCSR, BackendCSRSharded}
+var backendMatrix = []Backend{BackendFlat, BackendCSR}
 
 // TestBackendDifferential runs every corpus query under both trie-driven
 // engines on every index backend and requires identical counts and identical
 // enumerated result sets — the flat backend is the reference implementation
-// the CSR backends must reproduce exactly.
+// the CSR backend must reproduce exactly.
 func TestBackendDifferential(t *testing.T) {
 	ctx := context.Background()
 	g := GenerateGraph(HolmeKim, 250, 900, 3)
@@ -94,9 +94,9 @@ func TestBackendDifferential(t *testing.T) {
 	}
 }
 
-// TestBackendParallelDifferential checks the partitioned §4.10 count path —
-// including the per-shard job binding of the csr-sharded backend — against
-// the sequential flat reference, on both cyclic and acyclic shapes.
+// TestBackendParallelDifferential checks the partitioned §4.10 count path on
+// the csr backend against the sequential flat reference, on both cyclic and
+// acyclic shapes.
 func TestBackendParallelDifferential(t *testing.T) {
 	ctx := context.Background()
 	g := GenerateGraph(BarabasiAlbert, 2000, 10000, 11)
@@ -107,14 +107,12 @@ func TestBackendParallelDifferential(t *testing.T) {
 			t.Fatal(err)
 		}
 		for _, alg := range []Algorithm{LFTJ, MS} {
-			for _, backend := range []Backend{BackendCSR, BackendCSRSharded} {
-				got, err := Count(ctx, g, q, Options{Algorithm: alg, Workers: 4, Granularity: 8, Backend: backend})
-				if err != nil {
-					t.Fatalf("%s/%s/%s parallel: %v", q.Name, alg, backend, err)
-				}
-				if got != want {
-					t.Errorf("%s/%s/%s parallel count = %d, want %d", q.Name, alg, backend, got, want)
-				}
+			got, err := Count(ctx, g, q, Options{Algorithm: alg, Workers: 4, Granularity: 8, Backend: BackendCSR})
+			if err != nil {
+				t.Fatalf("%s/%s parallel: %v", q.Name, alg, err)
+			}
+			if got != want {
+				t.Errorf("%s/%s parallel count = %d, want %d", q.Name, alg, got, want)
 			}
 		}
 	}

@@ -279,7 +279,7 @@ func BenchmarkBackend(b *testing.B) {
 	ctx := context.Background()
 	g := benchGraph(b, dataset.HolmeKim, 5000, 29000, 1)
 	for _, q := range []*Query{Cliques(3), Cliques(4)} {
-		for _, backend := range []Backend{BackendFlat, BackendCSR, BackendCSRSharded} {
+		for _, backend := range []Backend{BackendFlat, BackendCSR} {
 			p, err := g.Prepare(q, Options{Algorithm: "lftj", Workers: 1, Backend: backend})
 			if err != nil {
 				b.Fatal(err)
@@ -296,23 +296,19 @@ func BenchmarkBackend(b *testing.B) {
 	}
 }
 
-// BenchmarkBackendParallel is the csr-sharded acceptance benchmark: the
-// §4.10 parallel clique count, csr (shared index, per-execution value-split
-// jobs) against csr-sharded (jobs mapped one-to-one onto physically
-// disjoint shards). The sharded gains come from two places: job derivation
-// reads precomputed shard boundaries instead of scanning the smallest
-// relation's distinct values on every Count, and on multi-core hardware the
-// workers touch disjoint index arrays (no shared cache-line traffic).
+// BenchmarkBackendParallel is the §4.10 benchmark: the prepared clique
+// count on the csr backend, sequential (Workers 1) against the partitioned
+// pool (Workers 4, jobs cut on level 0 of the plan's own bound index).
 func BenchmarkBackendParallel(b *testing.B) {
 	ctx := context.Background()
 	g := benchGraph(b, dataset.HolmeKim, 20000, 120000, 1)
 	for _, q := range []*Query{Cliques(3), Cliques(4)} {
-		for _, backend := range []Backend{BackendCSR, BackendCSRSharded} {
-			p, err := g.Prepare(q, Options{Algorithm: "lftj", Workers: 4, Backend: backend})
+		for _, workers := range []int{1, 4} {
+			p, err := g.Prepare(q, Options{Algorithm: "lftj", Workers: workers, Backend: BackendCSR})
 			if err != nil {
 				b.Fatal(err)
 			}
-			b.Run(fmt.Sprintf("%s/%s", q.Name, backend), func(b *testing.B) {
+			b.Run(fmt.Sprintf("%s/workers=%d", q.Name, workers), func(b *testing.B) {
 				b.ReportAllocs()
 				for i := 0; i < b.N; i++ {
 					if _, err := p.Count(ctx); err != nil {
@@ -396,7 +392,7 @@ func BenchmarkBackendProbes(b *testing.B) {
 	ctx := context.Background()
 	g := benchGraph(b, dataset.HolmeKim, 5000, 29000, 1)
 	q := Cliques(3)
-	for _, backend := range []Backend{BackendFlat, BackendCSR, BackendCSRSharded} {
+	for _, backend := range []Backend{BackendFlat, BackendCSR} {
 		p, err := g.Prepare(q, Options{Algorithm: "ms", Workers: 1, Backend: backend})
 		if err != nil {
 			b.Fatal(err)

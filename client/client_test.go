@@ -148,8 +148,12 @@ func TestTypedErrorsAcrossWire(t *testing.T) {
 	if _, err := c.Prepare(q, repro.Options{Algorithm: "nope"}); !errors.Is(err, repro.ErrUnknownAlgorithm) {
 		t.Errorf("unknown algorithm: %v, want ErrUnknownAlgorithm", err)
 	}
-	if _, err := c.Prepare(q, repro.Options{Backend: "btree"}); !errors.Is(err, repro.ErrUnknownBackend) {
-		t.Errorf("unknown backend: %v, want ErrUnknownBackend", err)
+	// "csr-sharded" names a backend that no longer exists; a stale client
+	// requesting it gets the typed error over the wire.
+	for _, backend := range []repro.Backend{"btree", "csr-sharded"} {
+		if _, err := c.Prepare(q, repro.Options{Backend: backend}); !errors.Is(err, repro.ErrUnknownBackend) {
+			t.Errorf("unknown backend %q: %v, want ErrUnknownBackend", backend, err)
+		}
 	}
 	if _, err := c.Arity("nope"); !errors.Is(err, repro.ErrUnknownRelation) {
 		t.Errorf("arity unknown: %v, want ErrUnknownRelation", err)

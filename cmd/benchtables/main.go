@@ -32,7 +32,7 @@ func main() {
 		timeout = flag.Duration("timeout", 5*time.Second, "per-execution timeout (paper: 30m)")
 		repeats = flag.Int("repeats", 1, "executions per cell (paper: 3, averaging the last 2)")
 		workers = flag.Int("workers", 0, "worker pool size (0 = all cores)")
-		backend = flag.String("backend", "", "index backend for lftj/ms: flat | csr | csr-sharded (empty = csr)")
+		backend = flag.String("backend", "", "index backend for lftj/ms: flat | csr (empty = csr)")
 		seed    = flag.Int64("seed", 1, "random sample seed")
 	)
 	flag.Parse()

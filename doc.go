@@ -119,28 +119,19 @@
 //     so an update costs time proportional to the small log, not an
 //     O(arity·n) trie rebuild, and compiled
 //     plans stay valid across updates.
-//   - "csr-sharded" — the CSR trie partitioned into disjoint shards by
-//     contiguous ranges of the first GAO attribute. Sequential execution
-//     matches "csr"; the §4.10 parallel Count maps its jobs one-to-one
-//     onto shard ranges and each worker binds only its own shard —
-//     physically disjoint indexes, no shared-array contention between
-//     cores, and no per-execution scan to derive job cut points. Atoms
-//     whose index does not lead on the first GAO attribute bind plain CSR
-//     tries (sharding would not help them). Rebuilt, not overlaid, on
-//     updates.
 //   - "flat" — the sorted rows themselves; trie-cursor moves and
 //     Minesweeper's LUB/GLB gap probes re-derive child ranges by binary
 //     search over row ranges on each operation. Zero extra memory and
-//     build cost; the reference implementation the other backends are
+//     build cost; the reference implementation the CSR backend is
 //     differential-tested against.
 //
-// Pick "csr-sharded" for parallel Counts on multi-core hardware, "flat"
-// for one-shot queries on memory-tight settings, and the "csr" default
-// otherwise — including under incremental view maintenance.
-// BenchmarkBackend and BenchmarkBackendParallel in bench_test.go track the
-// speedups; all backends must produce identical results on the whole query
-// corpus, including under parallel execution and view maintenance
-// (backend_diff_test.go).
+// Pick "flat" for one-shot queries on memory-tight settings and the "csr"
+// default otherwise — including under incremental view maintenance and
+// parallel Counts, whose §4.10 job cut points are read off level 0 of the
+// bound trie itself. BenchmarkBackend and BenchmarkBackendParallel in
+// bench_test.go track the speedups; both backends must produce identical
+// results on the whole query corpus, including under parallel execution
+// and view maintenance (backend_diff_test.go).
 //
 // # Engines
 //

@@ -48,14 +48,12 @@ func ExamplePrepared_Rows() {
 }
 
 // ExampleOptions_backend selects the physical index backend: "csr" (the
-// default) serves prepared queries from materialized CSR trie levels,
-// "csr-sharded" additionally partitions each first-attribute trie so the
-// parallel Count path binds one disjoint shard per worker job, and "flat"
-// is the zero-memory reference. All three produce identical results.
+// default) serves prepared queries from materialized CSR trie levels, and
+// "flat" is the zero-memory reference. Both produce identical results.
 func ExampleOptions_backend() {
 	g := repro.NewGraph([][2]int64{{0, 1}, {1, 2}, {0, 2}, {2, 3}, {1, 3}})
 	ctx := context.Background()
-	for _, backend := range []repro.Backend{repro.BackendFlat, repro.BackendCSR, repro.BackendCSRSharded} {
+	for _, backend := range []repro.Backend{repro.BackendFlat, repro.BackendCSR} {
 		p, err := g.Prepare(repro.Triangles(), repro.Options{Algorithm: "lftj", Backend: backend})
 		if err != nil {
 			panic(err)
@@ -64,12 +62,11 @@ func ExampleOptions_backend() {
 		if err != nil {
 			panic(err)
 		}
-		fmt.Printf("%-11s -> %d triangles (plan backend %s)\n", backend, n, p.Explain().Backend)
+		fmt.Printf("%-4s -> %d triangles (plan backend %s)\n", backend, n, p.Explain().Backend)
 	}
 	// Output:
-	// flat        -> 2 triangles (plan backend flat)
-	// csr         -> 2 triangles (plan backend csr)
-	// csr-sharded -> 2 triangles (plan backend csr-sharded)
+	// flat -> 2 triangles (plan backend flat)
+	// csr  -> 2 triangles (plan backend csr)
 }
 
 // ExampleMaintainCount keeps a pattern count current under edge updates

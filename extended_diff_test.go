@@ -221,8 +221,8 @@ func TestExtendedDifferential(t *testing.T) {
 // TestExtendedDifferentialChurn re-runs a slice of the extended corpus after
 // every step of a randomized 15-step Apply churn, across both engines and
 // every backend, against the brute-force reference recomputed per step. The
-// handles are re-prepared each step: flat and csr-sharded indexes are frozen
-// at Prepare time, and the plan cache must serve correct (invalidated or
+// handles are re-prepared each step: flat indexes are frozen at Prepare
+// time, and the plan cache must serve correct (invalidated or
 // overlay-advanced) plans through the writes.
 func TestExtendedDifferentialChurn(t *testing.T) {
 	rng := rand.New(rand.NewSource(99))

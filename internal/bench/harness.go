@@ -42,9 +42,9 @@ type Config struct {
 	Repeats int
 	// Workers for the parallel engines (0 = all cores).
 	Workers int
-	// Backend selects the index backend for the trie-driven engines
-	// ("flat", "csr", or "csr-sharded"; empty = the csr default), so whole
-	// table runs can be compared across backends.
+	// Backend selects the index backend for the trie-driven engines ("flat"
+	// or "csr"; empty = the csr default), so whole table runs can be
+	// compared across backends.
 	Backend string
 	// SampleSeed varies the random node samples between runs.
 	SampleSeed int64

@@ -14,7 +14,7 @@ var ErrUnknownBackend = errors.New("unknown index backend")
 
 // Backend names a physical trie-index implementation. The paper's engines
 // (§4.1) are defined against an abstract trie/B-tree index; this reproduction
-// offers three interchangeable realizations of that contract so they can be
+// offers two interchangeable realizations of that contract so they can be
 // differential-tested and benchmarked against each other.
 type Backend string
 
@@ -31,12 +31,6 @@ const (
 	// maintained incrementally under DB.ApplyDelta through a delta overlay
 	// (relation.Overlay), so incremental views keep this backend's speed.
 	BackendCSR Backend = "csr"
-	// BackendCSRSharded partitions each CSR trie into disjoint shards by
-	// contiguous first-attribute ranges (relation.ShardedCSR). Sequential
-	// execution matches BackendCSR; the §4.10 parallel Count path maps jobs
-	// one-to-one onto shards so every worker binds its own physically
-	// disjoint index — no shared-array cache contention between cores.
-	BackendCSRSharded Backend = "csr-sharded"
 )
 
 // DefaultBackend is used when no backend is selected. The CSR backend is the
@@ -56,11 +50,9 @@ func ParseBackend(s string) (Backend, error) {
 		return BackendFlat, nil
 	case BackendCSR:
 		return BackendCSR, nil
-	case BackendCSRSharded:
-		return BackendCSRSharded, nil
 	}
-	return "", fmt.Errorf("core: %w %q (want %q, %q, or %q)",
-		ErrUnknownBackend, s, BackendFlat, BackendCSR, BackendCSRSharded)
+	return "", fmt.Errorf("core: %w %q (want %q or %q)",
+		ErrUnknownBackend, s, BackendFlat, BackendCSR)
 }
 
 // TrieCursor is the per-execution iteration handle over one GAO-consistent
@@ -100,24 +92,6 @@ type IndexBackend interface {
 	// ProbeGap probes with a full-arity point: found == true when the tuple
 	// is present, else the maximal empty gap box around the point (§4.5).
 	ProbeGap(point []int64) (relation.Gap, bool)
-}
-
-// ShardedIndex is implemented by backends that partition the trie into
-// disjoint physical shards by the first attribute. The §4.10 parallel
-// executor aligns its job cut points with ShardStarts and binds each job to
-// the Restrict view covering only its own range, so concurrent workers
-// touch disjoint index arrays.
-type ShardedIndex interface {
-	IndexBackend
-	// NumShards returns the shard count.
-	NumShards() int
-	// ShardStarts returns the smallest first-attribute value of each shard,
-	// in increasing order.
-	ShardStarts() []int64
-	// Restrict returns a view over the shards intersecting the
-	// first-attribute range [lo, hi). Within that range the view behaves
-	// exactly like the full index.
-	Restrict(lo, hi int64) IndexBackend
 }
 
 // flatIndex adapts the sorted relation itself as an IndexBackend.
@@ -239,74 +213,8 @@ func snapshotWith(atoms []AtomIndex, memo map[IndexBackend]IndexBackend) []AtomI
 	return out
 }
 
-// shardedIndex adapts a sharded CSR trie as a ShardedIndex.
-type shardedIndex struct {
-	t *relation.ShardedCSR
-}
-
-func (s shardedIndex) Backend() Backend      { return BackendCSRSharded }
-func (s shardedIndex) Arity() int            { return s.t.Arity() }
-func (s shardedIndex) Len() int              { return s.t.Len() }
-func (s shardedIndex) NewCursor() TrieCursor { return relation.NewShardedCursor(s.t) }
-func (s shardedIndex) ProbeGap(point []int64) (relation.Gap, bool) {
-	return s.t.ProbeGap(point)
-}
-func (s shardedIndex) NumShards() int       { return s.t.NumShards() }
-func (s shardedIndex) ShardStarts() []int64 { return s.t.ShardStarts() }
-func (s shardedIndex) Restrict(lo, hi int64) IndexBackend {
-	r := s.t.Restrict(lo, hi)
-	if r.NumShards() == 1 {
-		// The common case under shard-aligned jobs: the job covers exactly
-		// one shard, so hand out the shard trie directly — its cursors are
-		// plain CSR cursors with zero composition overhead, and its gap
-		// probes may overreach the shard boundary, which is sound inside
-		// the job's own range.
-		return shardTrieIndex{t: r.Shard(0)}
-	}
-	return shardedIndex{t: r}
-}
-
-// shardTrieIndex serves one shard of a sharded index as a standalone
-// backend (the per-job binding of the §4.10 parallel path).
-type shardTrieIndex struct {
-	t *relation.CSRTrie
-}
-
-func (s shardTrieIndex) Backend() Backend      { return BackendCSRSharded }
-func (s shardTrieIndex) Arity() int            { return s.t.Arity() }
-func (s shardTrieIndex) Len() int              { return s.t.Len() }
-func (s shardTrieIndex) NewCursor() TrieCursor { return relation.NewCSRCursor(s.t) }
-func (s shardTrieIndex) ProbeGap(point []int64) (relation.Gap, bool) {
-	return s.t.ProbeGap(point)
-}
-
-// RestrictAtoms returns the atom bindings with every atom whose index leads
-// on the first GAO attribute (VarPos[0] == 0) restricted to the shards
-// covering [lo, hi) — the per-job disjoint physical indexes of the §4.10
-// parallel path. Atoms on non-sharded backends are returned unchanged; when
-// nothing is sharded the input slice is returned as is.
-func RestrictAtoms(atoms []AtomIndex, lo, hi int64) []AtomIndex {
-	out := atoms
-	copied := false
-	for i, a := range atoms {
-		if len(a.VarPos) == 0 || a.VarPos[0] != 0 {
-			continue
-		}
-		si, ok := a.Index.(ShardedIndex)
-		if !ok {
-			continue
-		}
-		if !copied {
-			out = append([]AtomIndex(nil), atoms...)
-			copied = true
-		}
-		out[i].Index = si.Restrict(lo, hi)
-	}
-	return out
-}
-
 // NewIndexBackend wraps an already GAO-consistent relation in the chosen
-// backend (building the CSR trie levels, shards, or overlay as needed). The
+// backend (building the CSR trie levels and overlay as needed). The
 // DB's TrieIndex method is the caching entry point; this constructor serves
 // callers that manage relations directly.
 func NewIndexBackend(r *relation.Relation, backend Backend) (IndexBackend, error) {
@@ -317,8 +225,6 @@ func NewIndexBackend(r *relation.Relation, backend Backend) (IndexBackend, error
 		return flatIndex{r: r}, nil
 	case BackendCSR:
 		return newCSRIndex(r), nil
-	case BackendCSRSharded:
-		return shardedIndex{t: relation.NewShardedCSR(r, 0)}, nil
 	}
 	return nil, fmt.Errorf("core: %w %q", ErrUnknownBackend, backend)
 }

@@ -140,9 +140,9 @@ func (db *DB) Version() int64 {
 // (relation.Overlay) in time proportional to the small log — no trie
 // rebuild — and plans compiled against the CSR
 // backend stay valid because their index objects are advanced in place.
-// Flat and sharded indexes, and plans bound to them, are invalidated and
-// rebuilt lazily (the flat permuted relations are re-derived from the merged
-// relation on next use; sharded tries are rebuilt on next bind).
+// Flat indexes, and plans bound to them, are invalidated and rebuilt lazily
+// (the flat permuted relations are re-derived from the merged relation on
+// next use).
 //
 // Inserts already present and deletes absent are ignored, and a tuple
 // appearing on both sides of one batch resolves as delete-after-insert (an
@@ -413,13 +413,6 @@ type AtomIndex struct {
 // BindAtom builds the GAO-consistent index for one atom under the chosen
 // backend. gaoPos maps variable name to GAO position. The incremental views
 // use it to re-bind just their delta atoms per update batch.
-//
-// Under the csr-sharded backend, only atoms whose index leads on the first
-// GAO attribute actually bind the sharded trie — those are the indexes the
-// §4.10 parallel jobs partition (splitJobs cuts the first attribute's
-// domain). Every other atom binds the plain CSR trie: sharding would buy it
-// nothing, while the composed shard-crossing cursor would cost on every
-// operation of the join's inner loops.
 func BindAtom(a query.Atom, db *DB, gaoPos map[string]int, backend Backend) (AtomIndex, error) {
 	order := make([]int, len(a.Vars)) // column order by GAO position
 	for k := range order {
@@ -428,9 +421,6 @@ func BindAtom(a query.Atom, db *DB, gaoPos map[string]int, backend Backend) (Ato
 	sort.Slice(order, func(x, y int) bool {
 		return gaoPos[a.Vars[order[x]]] < gaoPos[a.Vars[order[y]]]
 	})
-	if backend == BackendCSRSharded && gaoPos[a.Vars[order[0]]] != 0 {
-		backend = BackendCSR
-	}
 	trie, err := db.TrieIndex(a.Rel, order, backend)
 	if err != nil {
 		return AtomIndex{}, err

@@ -39,8 +39,8 @@ func collect(t *testing.T, idx IndexBackend) [][]int64 {
 }
 
 // TestApplyDeltaMaintainsCSRInPlace: the cached CSR index object absorbs the
-// batch through its overlay — same object, new contents — while flat and
-// sharded entries are invalidated.
+// batch through its overlay — same object, new contents — while flat
+// entries are invalidated.
 func TestApplyDeltaMaintainsCSRInPlace(t *testing.T) {
 	db := deltaDB()
 	csr, err := db.TrieIndex("edge", []int{0, 1}, BackendCSR)
@@ -116,21 +116,21 @@ func mustBackend(t *testing.T, r *relation.Relation, b Backend) IndexBackend {
 }
 
 // TestApplyDeltaPlanInvalidation: plans on the CSR backend survive a delta
-// batch (their indexes advanced in place); flat and sharded plans reading
-// the relation are dropped.
+// batch (their indexes advanced in place); flat plans reading the relation
+// are dropped.
 func TestApplyDeltaPlanInvalidation(t *testing.T) {
 	db := deltaDB()
 	q := query.New("q", query.Atom{Rel: "edge", Vars: []string{"a", "b"}})
 	gao := []string{"a", "b"}
-	for _, b := range []Backend{BackendFlat, BackendCSR, BackendCSRSharded} {
+	for _, b := range []Backend{BackendFlat, BackendCSR} {
 		p, err := NewPlan(q, db, "lftj", gao, nil, false, b, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
 		db.StorePlan(string(b), p, db.Version())
 	}
-	if got := db.CachedPlanCount(); got != 3 {
-		t.Fatalf("cached plans = %d, want 3", got)
+	if got := db.CachedPlanCount(); got != 2 {
+		t.Fatalf("cached plans = %d, want 2", got)
 	}
 	if err := db.ApplyDelta("edge", [][]int64{{8, 9}}, nil); err != nil {
 		t.Fatal(err)

@@ -13,8 +13,8 @@ import "sync"
 //
 // A lease needs no release: the pinned views are ordinary overlay snapshots
 // and the garbage collector reclaims them when the lease is dropped. Indexes
-// that are immutable objects (flat and sharded bindings — ApplyDelta replaces
-// rather than advances them) pass through unpinned; a plan holding them is
+// that are immutable objects (flat bindings — ApplyDelta replaces rather
+// than advances them) pass through unpinned; a plan holding them is
 // already frozen at its compile-time state.
 type Lease struct {
 	mu    sync.Mutex

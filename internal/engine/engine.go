@@ -11,7 +11,6 @@ import (
 	"errors"
 	"fmt"
 	"runtime"
-	"sort"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -20,7 +19,6 @@ import (
 	"repro/internal/genericjoin"
 	"repro/internal/graphengine"
 	"repro/internal/hybrid"
-	"repro/internal/hypergraph"
 	"repro/internal/lftj"
 	"repro/internal/minesweeper"
 	"repro/internal/pairwise"
@@ -97,9 +95,8 @@ type Options struct {
 	// GAO overrides the attribute order for LFTJ and Minesweeper.
 	GAO []string
 	// Backend selects the index backend for the trie-driven engines (LFTJ,
-	// Minesweeper): core.BackendCSR (the default), core.BackendCSRSharded
-	// (disjoint per-shard binding on the parallel Count path), or
-	// core.BackendFlat (the reference).
+	// Minesweeper): core.BackendCSR (the default) or core.BackendFlat (the
+	// reference).
 	Backend core.Backend
 	// MaxRows caps pairwise-engine intermediates.
 	MaxRows int
@@ -228,21 +225,15 @@ func (p *parallel) workers() int {
 
 // granularity applies the paper's default f (§4.10): 1 for β-acyclic
 // queries, 8 for cyclic ones, "determined after minor micro experiments".
-// A compiled plan carries the classification; without one it is re-derived.
-func (p *parallel) granularity(q *query.Query) int {
+// The compiled plan carries the classification.
+func (p *parallel) granularity() int {
 	if p.opts.Granularity > 0 {
 		return p.opts.Granularity
 	}
-	if p.opts.Plan != nil {
-		if p.opts.Plan.BetaCyclic {
-			return 8
-		}
-		return 1
+	if p.opts.Plan.BetaCyclic {
+		return 8
 	}
-	if _, ok := hypergraph.FindChainGAO(q.Vars(), q.Atoms); ok {
-		return 1
-	}
-	return 8
+	return 1
 }
 
 // Enumerate implements core.Engine.
@@ -261,10 +252,18 @@ func (p *parallel) Count(ctx context.Context, q *query.Query, db *core.DB) (int6
 	if workers <= 1 || p.opts.FirstVarRange != nil {
 		return p.single().Count(ctx, q, db)
 	}
-	jobs, err := p.splitJobs(q, db, workers*p.granularity(q))
-	if err != nil {
-		return 0, err
+	if p.opts.Plan == nil {
+		// The jobs and their cut points read one compiled binding; the
+		// DB's plan cache serves repeated unplanned Counts.
+		plan, err := CompilePlan(p.opts, q, db)
+		if err != nil {
+			return 0, err
+		}
+		planned := *p
+		planned.opts.Plan = plan
+		p = &planned
 	}
+	jobs := splitJobs(p.opts.Plan, workers*p.granularity())
 	if len(jobs) <= 1 {
 		return p.single().Count(ctx, q, db)
 	}
@@ -323,133 +322,49 @@ func (p *parallel) rangeCount(ctx context.Context, q *query.Query, db *core.DB, 
 	ms.FirstVarRange = &minesweeper.Range{Lo: lo, Hi: hi}
 	ms.Plan = p.opts.Plan
 	ms.Collector = p.opts.Stats
-	// The per-job legacy Stats pointer is not safe under concurrent adds;
-	// concurrent jobs report through the collector instead.
-	ms.Stats = nil
 	return minesweeper.Engine{Opts: ms}.Count(ctx, q, db)
 }
 
-// splitJobs partitions the first GAO variable's candidate values into up to
-// n contiguous ranges of roughly equal candidate counts (the paper's
-// "p equal-sized parts" of the output space). Under the csr-sharded backend
-// the cut points are taken from the shard boundaries instead, so every job
-// maps one-to-one onto a physically disjoint shard of the indexes leading
-// on the first attribute.
-func (p *parallel) splitJobs(q *query.Query, db *core.DB, n int) ([][2]int64, error) {
-	if plan := p.opts.Plan; plan != nil && plan.Backend == core.BackendCSRSharded {
-		if jobs := shardJobs(plan); len(jobs) > 1 {
-			return jobs, nil
+// splitJobs partitions the first GAO variable's domain into up to n
+// contiguous ranges holding roughly equal numbers of its candidate values
+// (the paper's "p equal-sized parts" of the output space): with values the
+// d sorted distinct first-variable values of the smallest atom containing
+// that variable, the cut points are values[i·d/n]. Every atom containing the
+// first variable leads on it, so values is level 0 of that atom's bound
+// trie: two cursor walks over one pinned snapshot count it and then pick the
+// cuts, with no row scan and no copy of the values.
+func splitJobs(plan *core.Plan, n int) [][2]int64 {
+	var idx core.IndexBackend
+	for _, a := range core.SnapshotAtoms(plan.Atoms) {
+		if len(a.VarPos) > 0 && a.VarPos[0] == 0 && (idx == nil || a.Index.Len() < idx.Len()) {
+			idx = a.Index
 		}
 	}
-	var gao []string
-	if p.opts.Plan != nil {
-		gao = p.opts.Plan.GAO
-	} else {
-		if err := q.Validate(); err != nil {
-			return nil, err
-		}
-		gao = p.opts.GAO
-		if gao == nil {
-			if p.opts.Algorithm == MS {
-				plan, err := hypergraph.PlanQuery(q)
-				if err != nil {
-					return nil, err
-				}
-				gao = plan.GAO
-			} else {
-				gao = q.Vars()
-			}
-		}
+	whole := [][2]int64{{-1, relation.PosInf}}
+	if idx == nil {
+		return whole
 	}
-	first := gao[0]
-	atoms := q.AtomsWith(first)
-	if len(atoms) == 0 {
-		return nil, fmt.Errorf("engine: variable %q unbound", first)
+	d := 0
+	c := idx.NewCursor()
+	for c.Open(); !c.AtEnd(); c.Next() {
+		d++
 	}
-	// Use the smallest relation containing the first variable to pick cut
-	// points from its distinct values on that column.
-	var bestRel *relation.Relation
-	bestCol := 0
-	for _, ai := range atoms {
-		r, err := db.Relation(q.Atoms[ai].Rel)
-		if err != nil {
-			return nil, err
-		}
-		col := 0
-		for c, v := range q.Atoms[ai].Vars {
-			if v == first {
-				col = c
-				break
-			}
-		}
-		if bestRel == nil || r.Len() < bestRel.Len() {
-			bestRel, bestCol = r, col
-		}
-	}
-	var values []int64
-	seen := make(map[int64]bool)
-	for i := 0; i < bestRel.Len(); i++ {
-		v := bestRel.Value(i, bestCol)
-		if !seen[v] {
-			seen[v] = true
-			values = append(values, v)
-		}
-	}
-	sortInt64(values)
-	if n < 1 {
-		n = 1
-	}
-	if len(values) < n {
-		n = len(values)
-	}
+	n = min(n, d)
 	if n <= 1 {
-		return [][2]int64{{-1, relation.PosInf}}, nil
+		return whole
 	}
 	jobs := make([][2]int64, 0, n)
 	lo := int64(-1)
-	for i := 1; i < n; i++ {
-		cut := values[i*len(values)/n]
-		if cut <= lo {
-			continue
+	c = idx.NewCursor()
+	c.Open()
+	for i, k := 1, 0; i < n; i++ {
+		for ; k < i*d/n; k++ {
+			c.Next()
 		}
-		jobs = append(jobs, [2]int64{lo, cut})
-		lo = cut
-	}
-	jobs = append(jobs, [2]int64{lo, relation.PosInf})
-	return jobs, nil
-}
-
-// shardJobs derives the job ranges from the shard boundaries of the plan's
-// sharded indexes: among the atoms whose index leads on the first GAO
-// attribute, the one with the most shards sets the cut points (its shards
-// are the finest physical partition of the first attribute). Each returned
-// job covers exactly one shard of that index, so the per-job RestrictAtoms
-// binding in the engines resolves to a single disjoint shard.
-func shardJobs(plan *core.Plan) [][2]int64 {
-	var best core.ShardedIndex
-	for _, a := range plan.Atoms {
-		if len(a.VarPos) == 0 || a.VarPos[0] != 0 {
-			continue
+		if cut := c.Key(); cut > lo {
+			jobs = append(jobs, [2]int64{lo, cut})
+			lo = cut
 		}
-		if si, ok := a.Index.(core.ShardedIndex); ok {
-			if best == nil || si.NumShards() > best.NumShards() {
-				best = si
-			}
-		}
-	}
-	if best == nil || best.NumShards() <= 1 {
-		return nil
-	}
-	starts := best.ShardStarts()
-	jobs := make([][2]int64, 0, len(starts))
-	lo := int64(-1)
-	for _, s := range starts[1:] {
-		jobs = append(jobs, [2]int64{lo, s})
-		lo = s
 	}
 	return append(jobs, [2]int64{lo, relation.PosInf})
-}
-
-func sortInt64(v []int64) {
-	sort.Slice(v, func(i, j int) bool { return v[i] < v[j] })
 }

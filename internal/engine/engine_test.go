@@ -83,11 +83,11 @@ func TestAllEnginesAgreeOnTriangle(t *testing.T) {
 func TestSplitJobsCoverage(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	db := testutil.RandomGraphDB(rng, 50, 200, 2)
-	p := &parallel{opts: Options{Algorithm: LFTJ}}
-	jobs, err := p.splitJobs(query.Clique(3), db, 7)
+	plan, err := CompilePlan(Options{Algorithm: LFTJ}, query.Clique(3), db)
 	if err != nil {
 		t.Fatal(err)
 	}
+	jobs := splitJobs(plan, 7)
 	if len(jobs) == 0 {
 		t.Fatal("no jobs")
 	}

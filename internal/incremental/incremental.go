@@ -110,8 +110,8 @@ func NewView(ctx context.Context, q *query.Query, db *core.DB) (*View, error) {
 
 // NewViewBackend is NewView with an explicit index backend for the delta
 // queries. The CSR backend is the fast path (incremental index maintenance
-// through delta overlays); flat and csr-sharded re-bind their physical
-// indexes per batch and serve as the differential-testing reference.
+// through delta overlays); flat re-binds its physical indexes per batch and
+// serves as the differential-testing reference.
 func NewViewBackend(ctx context.Context, q *query.Query, db *core.DB, backend core.Backend) (*View, error) {
 	if err := q.Validate(); err != nil {
 		return nil, err

@@ -92,12 +92,6 @@ func (e Engine) Enumerate(ctx context.Context, q *query.Query, db *core.DB, emit
 	// Pin overlay-backed indexes to one snapshot for this whole run, so a
 	// concurrent DB.ApplyDelta can never mix two index states mid-join.
 	atoms = core.SnapshotAtoms(atoms)
-	if rng := e.Opts.FirstVarRange; rng != nil {
-		// §4.10 parallel job: bind atoms leading on the first GAO attribute
-		// to just the shards covering this job's range, so concurrent
-		// workers walk disjoint physical indexes.
-		atoms = core.RestrictAtoms(atoms, rng.Lo, rng.Hi)
-	}
 	ex := &exec{
 		n:       len(gao),
 		binding: make([]int64, len(gao)),

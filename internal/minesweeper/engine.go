@@ -38,9 +38,6 @@ type Options struct {
 	DisableCountMemo bool
 	// FirstVarRange restricts the first GAO variable for parallel jobs.
 	FirstVarRange *Range
-	// Stats, when non-nil, accumulates execution counters. It is not safe
-	// for concurrent executions; prefer Collector for those.
-	Stats *Stats
 	// Plan, when set, is a compiled plan for the query: validation, GAO and
 	// skeleton resolution, and index binding are skipped and the plan's
 	// bound indexes are executed directly.
@@ -145,13 +142,6 @@ func (e Engine) run(ctx context.Context, q *query.Query, db *core.DB, emit func(
 	// probes (the CDS would otherwise accumulate gaps from different
 	// database states).
 	atoms = core.SnapshotAtoms(atoms)
-	if r := e.Opts.FirstVarRange; r != nil {
-		// §4.10 parallel job: bind atoms leading on the first GAO attribute
-		// to just the shards covering this job's range (disjoint physical
-		// indexes per worker). Gap probes against the restricted view are
-		// exact for every free tuple inside the job's range.
-		atoms = core.RestrictAtoms(atoms, r.Lo, r.Hi)
-	}
 	ex := &exec{
 		n:       len(gao),
 		atoms:   atoms,
@@ -205,9 +195,6 @@ func (e Engine) run(ctx context.Context, q *query.Query, db *core.DB, emit func(
 	err := ex.loop()
 	ex.stats.FreeTupleSteps = int64(ex.cds.Steps())
 	ex.stats.Outputs = ex.total
-	if e.Opts.Stats != nil {
-		e.Opts.Stats.add(ex.stats)
-	}
 	if sc := e.Opts.Collector; sc != nil {
 		sc.Add(core.Stats{
 			Outputs:        ex.stats.Outputs,

@@ -1,8 +1,9 @@
 package minesweeper
 
-// Stats collects execution counters, making the ablation tables
+// Stats holds one run's execution counters, making the ablation tables
 // interpretable: the paper's Ideas 4, 6 and 8 all trade index/CDS work for
-// bookkeeping, and these counters show the trade directly.
+// bookkeeping, and these counters show the trade directly. Each run reports
+// them through Options.Collector on the unified core stats surface.
 type Stats struct {
 	// Probes is the number of index probes actually issued (seekGap calls).
 	Probes int64
@@ -20,15 +21,4 @@ type Stats struct {
 	ReuseHits int64
 	// MemoStores counts subtree counts recorded for future reuse.
 	MemoStores int64
-}
-
-// add accumulates counters from one execution.
-func (s *Stats) add(o Stats) {
-	s.Probes += o.Probes
-	s.ProbeMemoHits += o.ProbeMemoHits
-	s.Constraints += o.Constraints
-	s.FreeTupleSteps += o.FreeTupleSteps
-	s.Outputs += o.Outputs
-	s.ReuseHits += o.ReuseHits
-	s.MemoStores += o.MemoStores
 }

@@ -5,6 +5,7 @@ import (
 	"math/rand"
 	"testing"
 
+	"repro/internal/core"
 	"repro/internal/query"
 	"repro/internal/testutil"
 )
@@ -14,11 +15,12 @@ func TestStatsCounters(t *testing.T) {
 	db := testutil.RandomGraphDB(rng, 20, 80, 2)
 	q := query.Path(3)
 
-	var with Stats
-	n1, err := Engine{Opts: Options{Stats: &with}}.Count(context.Background(), q, db)
+	var withC core.StatsCollector
+	n1, err := Engine{Opts: Options{Collector: &withC}}.Count(context.Background(), q, db)
 	if err != nil {
 		t.Fatal(err)
 	}
+	with := withC.Snapshot()
 	if with.Outputs != n1 {
 		t.Errorf("Outputs = %d, want %d", with.Outputs, n1)
 	}
@@ -34,14 +36,15 @@ func TestStatsCounters(t *testing.T) {
 
 	// Disabling Idea 4 must eliminate memo hits and issue at least as many
 	// probes.
-	var noMemo Stats
-	n2, err := Engine{Opts: Options{DisableMemo: true, Stats: &noMemo}}.Count(context.Background(), q, db)
+	var noMemoC core.StatsCollector
+	n2, err := Engine{Opts: Options{DisableMemo: true, Collector: &noMemoC}}.Count(context.Background(), q, db)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if n1 != n2 {
 		t.Fatalf("counts differ: %d vs %d", n1, n2)
 	}
+	noMemo := noMemoC.Snapshot()
 	if noMemo.ProbeMemoHits != 0 {
 		t.Errorf("DisableMemo but ProbeMemoHits = %d", noMemo.ProbeMemoHits)
 	}
@@ -50,11 +53,11 @@ func TestStatsCounters(t *testing.T) {
 	}
 
 	// Disabling count reuse must eliminate reuse hits.
-	var noReuse Stats
-	if _, err := (Engine{Opts: Options{DisableCountMemo: true, Stats: &noReuse}}).Count(context.Background(), q, db); err != nil {
+	var noReuseC core.StatsCollector
+	if _, err := (Engine{Opts: Options{DisableCountMemo: true, Collector: &noReuseC}}).Count(context.Background(), q, db); err != nil {
 		t.Fatal(err)
 	}
-	if noReuse.ReuseHits != 0 || noReuse.MemoStores != 0 {
+	if noReuse := noReuseC.Snapshot(); noReuse.ReuseHits != 0 || noReuse.MemoStores != 0 {
 		t.Errorf("DisableCountMemo but reuse counters = %+v", noReuse)
 	}
 }
@@ -62,16 +65,16 @@ func TestStatsCounters(t *testing.T) {
 func TestStatsAccumulateAcrossRuns(t *testing.T) {
 	rng := rand.New(rand.NewSource(34))
 	db := testutil.RandomGraphDB(rng, 10, 30, 2)
-	var s Stats
-	e := Engine{Opts: Options{Stats: &s}}
+	var c core.StatsCollector
+	e := Engine{Opts: Options{Collector: &c}}
 	if _, err := e.Count(context.Background(), query.Clique(3), db); err != nil {
 		t.Fatal(err)
 	}
-	first := s
+	first := c.Snapshot()
 	if _, err := e.Count(context.Background(), query.Clique(3), db); err != nil {
 		t.Fatal(err)
 	}
-	if s.Probes <= first.Probes || s.FreeTupleSteps <= first.FreeTupleSteps {
+	if s := c.Snapshot(); s.Probes <= first.Probes || s.FreeTupleSteps <= first.FreeTupleSteps {
 		t.Errorf("stats should accumulate: first=%+v total=%+v", first, s)
 	}
 }

@@ -129,31 +129,6 @@ func BenchmarkCSRProbeGap(b *testing.B) {
 	}
 }
 
-func BenchmarkShardedCursorFullScan(b *testing.B) {
-	t := NewShardedCSR(benchRelation(b, 100_000), 8)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		fullScan(NewShardedCursor(t))
-	}
-}
-
-func BenchmarkShardedProbeGap(b *testing.B) {
-	t := NewShardedCSR(benchRelation(b, 100_000), 8)
-	rng := rand.New(rand.NewSource(3))
-	points := make([][]int64, 1024)
-	for i := range points {
-		points[i] = []int64{int64(rng.Intn(30_000)), int64(rng.Intn(30_000))}
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		for _, p := range points {
-			t.ProbeGap(p)
-		}
-	}
-}
-
 // benchOverlay carries ~2% of the base in live logs — the steady state of a
 // view between compactions.
 func benchOverlay(b *testing.B) *Overlay {

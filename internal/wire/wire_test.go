@@ -236,7 +236,7 @@ func TestOptionsRoundTrip(t *testing.T) {
 		Workers:           4,
 		Granularity:       8,
 		GAO:               []string{"b", "a"},
-		Backend:           repro.BackendCSRSharded,
+		Backend:           repro.BackendFlat,
 		DisableProbeMemo:  true,
 		DisableSkeleton:   true,
 		DisableCountReuse: true,

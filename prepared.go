@@ -25,9 +25,8 @@ import (
 // execution builds its own iterator and memo state, and the stats collector
 // is synchronized. On the default CSR backend, incremental writes routed
 // through Store.Apply advance the handle's indexes in place, so the handle
-// keeps serving current data; handles on the flat and csr-sharded backends
-// hold immutable indexes and keep serving their Prepare-time state after
-// writes. Bulk replacements (Store.Load, SetSelectivity, SetSamples) swap
+// keeps serving current data; handles on the flat backend hold immutable
+// indexes and keep serving their Prepare-time state after writes. Bulk replacements (Store.Load, SetSelectivity, SetSamples) swap
 // whole relations and never re-point existing handles on any backend. In
 // both cases, Prepare again to pick up the new design — the underlying plan
 // cache makes re-preparing an unchanged shape cheap.
@@ -309,8 +308,8 @@ type Explanation struct {
 	Planned bool
 	// GAO is the resolved global attribute order (nil when not Planned).
 	GAO []string
-	// Backend is the index backend every atom is bound under (BackendFlat,
-	// BackendCSR, or BackendCSRSharded; empty when not Planned).
+	// Backend is the index backend every atom is bound under (BackendFlat
+	// or BackendCSR; empty when not Planned).
 	Backend Backend
 	// BetaCyclic reports whether the query needed Minesweeper's skeleton
 	// split (and drives the §4.10 parallel-granularity default).

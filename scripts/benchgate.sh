@@ -7,7 +7,10 @@
 # i.e. a >10% aggregate slowdown fails). Individual benchmarks are noisy at
 # -benchtime=1x — the geomean across the whole suite is what gates. The
 # biggest movers in both directions are printed even when the gate passes,
-# so a green run still shows where the time went.
+# so a green run still shows where the time went. Benchmarks present in OLD
+# and absent from NEW are listed too (informational: they never affect the
+# exit code), so a deleted benchmark shows in the log instead of silently
+# leaving the geomean.
 #
 # On the first run there is no previous artifact: a missing OLD file (or two
 # files with no benchmark in common) is not an error — the gate is skipped
@@ -48,9 +51,16 @@ extract() {
 }
 
 tmp="${TMPDIR:-/tmp}/benchgate.$$"
-trap 'rm -f "$tmp.old" "$tmp.new" "$tmp.ratio"' EXIT
+trap 'rm -f "$tmp.old" "$tmp.new" "$tmp.ratio" "$tmp.gone"' EXIT
 extract "$old" | sort > "$tmp.old"
 extract "$new" | sort > "$tmp.new"
+
+# Benchmarks that disappeared since OLD: listed, never gated.
+join -v 1 "$tmp.old" "$tmp.new" | awk '{ print $1 }' > "$tmp.gone"
+if [ -s "$tmp.gone" ]; then
+    echo "benchgate: $(wc -l < "$tmp.gone" | tr -d ' ') benchmark(s) in $old are absent from $new:"
+    sed 's/^/  /' "$tmp.gone"
+fi
 
 # One line per comparable benchmark: "ratio name old_ns new_ns".
 join "$tmp.old" "$tmp.new" \

@@ -86,7 +86,7 @@ func TestRemoteDifferential(t *testing.T) {
 	remote := dial(t, serve(t, server.NewSingle(st)))
 	for _, q := range corpus() {
 		for _, alg := range []repro.Algorithm{repro.LFTJ, repro.MS} {
-			for _, backend := range []repro.Backend{repro.BackendFlat, repro.BackendCSR, repro.BackendCSRSharded} {
+			for _, backend := range []repro.Backend{repro.BackendFlat, repro.BackendCSR} {
 				t.Run(fmt.Sprintf("%s/%s/%s", q.Name, alg, backend), func(t *testing.T) {
 					opts := repro.Options{Algorithm: alg, Workers: 1, Backend: backend}
 					lp, err := st.Prepare(q, opts)

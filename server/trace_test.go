@@ -75,6 +75,13 @@ func TestSlowQueryLog(t *testing.T) {
 		t.Fatal(err)
 	}
 
+	// The server writes a request's line after sending its response, so
+	// the count's line may land just after Count returns.
+	for deadline := time.Now().Add(5 * time.Second); time.Now().Before(deadline); time.Sleep(time.Millisecond) {
+		if strings.Contains(log.String(), `"type":"count"`) {
+			break
+		}
+	}
 	lines := strings.Split(strings.TrimSpace(log.String()), "\n")
 	if len(lines) < 2 { // at least the prepare and the count
 		t.Fatalf("slow-query log has %d lines, want >= 2:\n%s", len(lines), log.String())

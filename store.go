@@ -192,8 +192,8 @@ func (s *Store) Load(name string, tuples [][]int64) error {
 // CSR indexes' delta overlays — compiled plans on the CSR backend (the
 // default) stay valid and keep serving current data, which is what makes
 // prepare-once / execute-repeatedly hold under a live write stream. Plans on
-// the flat and csr-sharded backends hold immutable indexes and keep serving
-// their Prepare-time state; re-Prepare those after writes.
+// the flat backend hold immutable indexes and keep serving their
+// Prepare-time state; re-Prepare those after writes.
 func (s *Store) Apply(name string, inserts, deletes [][]int64) error {
 	arity, err := s.Arity(name)
 	if err != nil {

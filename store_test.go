@@ -513,8 +513,11 @@ func TestPrepareTypedValidation(t *testing.T) {
 	if _, err := g.Prepare(Triangles(), Options{Algorithm: "nope"}); !errors.Is(err, ErrUnknownAlgorithm) {
 		t.Errorf("unknown algorithm: %v, want ErrUnknownAlgorithm", err)
 	}
-	if _, err := g.Prepare(Triangles(), Options{Backend: "btree"}); !errors.Is(err, ErrUnknownBackend) {
-		t.Errorf("unknown backend: %v, want ErrUnknownBackend", err)
+	// "csr-sharded" names a backend that no longer exists.
+	for _, backend := range []Backend{"btree", "csr-sharded"} {
+		if _, err := g.Prepare(Triangles(), Options{Backend: backend}); !errors.Is(err, ErrUnknownBackend) {
+			t.Errorf("unknown backend %q: %v, want ErrUnknownBackend", backend, err)
+		}
 	}
 	// Unknown names on a non-plan-aware engine still fail eagerly.
 	if _, err := g.Prepare(Triangles(), Options{Algorithm: GraphLab, Backend: "btree"}); !errors.Is(err, ErrUnknownBackend) {

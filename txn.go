@@ -39,8 +39,8 @@ var ErrForeignPrepared = errors.New("prepared handle belongs to a different stor
 // first pin may observe writes that landed after ReadTxn).
 //
 // The pin applies to the in-place-updatable indexes (the CSR backend's
-// delta overlays — the default). Plans on the flat and csr-sharded backends
-// hold immutable index objects and are frozen at Prepare time rather than
+// delta overlays — the default). Plans on the flat backend hold immutable
+// index objects and are frozen at Prepare time rather than
 // transaction-begin time: still internally consistent, but re-Prepare after
 // bulk loads to advance them. A Txn is safe for concurrent use and needs no
 // explicit close; dropping it releases the pinned snapshot to the garbage
