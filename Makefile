@@ -12,7 +12,7 @@ help:
 	@echo "  make race         - Run the test suite under the race detector"
 	@echo "  make lint         - gofmt check + go vet + staticcheck (if installed)"
 	@echo "  make integration  - graphjoind/graphjoin client-server smoke test"
-	@echo "  make bench        - Run all benchmarks (every index backend)"
+	@echo "  make bench        - Run all benchmarks, with allocations"
 	@echo "  make bench-smoke  - Run every benchmark once (the CI smoke job)"
 	@echo "  make bench-gate   - Gate bench-smoke.txt against bench-smoke.old.txt"
 	@echo "  make load-smoke   - Boot graphjoind and drive it with graphjoinload"

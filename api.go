@@ -45,9 +45,6 @@ var (
 	// ErrUnknownAlgorithm reports an Options.Algorithm outside the
 	// registered set; Prepare validates eagerly, before engine selection.
 	ErrUnknownAlgorithm = engine.ErrUnknownAlgorithm
-	// ErrUnknownBackend reports an Options.Backend outside the registered
-	// set; Prepare validates eagerly, before index binding.
-	ErrUnknownBackend = core.ErrUnknownBackend
 )
 
 // Algorithm names a join engine; the names match the paper's system labels
@@ -69,17 +66,6 @@ const (
 
 // Algorithms lists every registered algorithm.
 func Algorithms() []Algorithm { return engine.Algorithms() }
-
-// Backend names a physical index backend for the trie-driven engines. The
-// zero value selects the default (CSR). Prepare rejects anything outside the
-// registered set with ErrUnknownBackend.
-type Backend = core.Backend
-
-// Registered index backends.
-const (
-	BackendFlat = core.BackendFlat
-	BackendCSR  = core.BackendCSR
-)
 
 // Query is a graph-pattern join query. Build one with the pattern
 // constructors below or parse the paper's Datalog syntax with ParseQuery.
@@ -123,19 +109,17 @@ func ParseQuery(name, src string) (*Query, error) { return query.Parse(name, src
 // the benchmark schema is one canned schema — so everything a Store offers
 // (ReadTxn, Batch, schema-checked ParseQuery) is available through Store().
 // Graph methods are safe for concurrent use (queries through the store
-// serialize on the database; the wrapper's own vertex/edge accounting is
-// guarded by its mutex).
+// serialize on the database; the wrapper's own vertex count is guarded by
+// its mutex).
 type Graph struct {
-	g *dataset.Graph
 	s *Store
 
-	// mu guards the wrapped graph's accounting (g.Edges, g.N, edgeIdx)
-	// against concurrent ApplyEdges/Nodes/Edges/SetSelectivity calls.
+	// mu guards nodes against concurrent ApplyEdges/Nodes/SetSelectivity
+	// calls.
 	mu sync.Mutex
-	// edgeIdx maps each oriented edge to its position in g.Edges; built on
-	// the first ApplyEdges so incremental writes maintain the accounting in
-	// time proportional to the batch instead of re-scanning the edge list.
-	edgeIdx map[[2]int64]int
+	// nodes is the vertex count: ids are 0..nodes-1. It only grows — an
+	// inserted edge raises it, removing one does not retire its endpoints.
+	nodes int
 }
 
 // NewGraph builds a graph from an undirected edge list. Vertex ids must be
@@ -167,14 +151,19 @@ func NewGraph(edges [][2]int64) *Graph {
 		seen[[2]int64{u, v}] = true
 		g.Edges = append(g.Edges, [2]int64{u, v})
 	}
-	return &Graph{g: g, s: newStoreOver(dataset.DB(g, 1, 1))}
+	return newGraph(g, 1)
+}
+
+// newGraph wraps the benchmark schema derived from g, its node samples
+// drawn with seed.
+func newGraph(g *dataset.Graph, seed int64) *Graph {
+	return &Graph{s: newStoreOver(dataset.DB(g, 1, seed)), nodes: g.N}
 }
 
 // GenerateGraph produces a deterministic synthetic graph (see
 // internal/dataset for the models). Samples default to selectivity 1.
 func GenerateGraph(model dataset.Model, nodes, edges int, seed int64) *Graph {
-	g := dataset.Generate(model, nodes, edges, seed)
-	return &Graph{g: g, s: newStoreOver(dataset.DB(g, 1, seed))}
+	return newGraph(dataset.Generate(model, nodes, edges, seed), seed)
 }
 
 // Dataset builds one of the paper's 15 benchmark datasets by name (synthetic
@@ -184,22 +173,24 @@ func Dataset(name string) (*Graph, error) {
 	if err != nil {
 		return nil, err
 	}
-	g := spec.Build()
-	return &Graph{g: g, s: newStoreOver(dataset.DB(g, 1, spec.Seed))}, nil
+	return newGraph(spec.Build(), spec.Seed), nil
 }
 
 // Nodes returns the vertex count.
 func (g *Graph) Nodes() int {
 	g.mu.Lock()
 	defer g.mu.Unlock()
-	return g.g.N
+	return g.nodes
 }
 
-// Edges returns the undirected edge count.
+// Edges returns the undirected edge count: the size of the oriented "fwd"
+// relation, which holds each edge once.
 func (g *Graph) Edges() int {
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	return len(g.g.Edges)
+	fwd, err := g.s.db.Relation(query.Fwd)
+	if err != nil {
+		return 0
+	}
+	return fwd.Len()
 }
 
 // SetSelectivity redraws all four node samples with the paper's protocol:
@@ -210,10 +201,11 @@ func (g *Graph) SetSelectivity(s int, seed int64) {
 	rng := rand.New(rand.NewSource(seed))
 	samples := make(map[string][]int64, 4)
 	g.mu.Lock()
-	for _, name := range []string{query.Sample1, query.Sample2, query.Sample3, query.Sample4} {
-		samples[name] = g.g.Sample(rng, s)
-	}
+	population := &dataset.Graph{N: g.nodes}
 	g.mu.Unlock()
+	for _, name := range []string{query.Sample1, query.Sample2, query.Sample3, query.Sample4} {
+		samples[name] = population.Sample(rng, s)
+	}
 	dataset.ReplaceNamedSamples(g.s.db, samples)
 }
 
@@ -230,27 +222,27 @@ func (g *Graph) SetSamples(v1, v2 []int64) {
 // (ApplyEdges, SetSelectivity, SetSamples): a raw Store.Apply on "edge" or
 // "fwd" updates only that one relation and silently breaks the schema's
 // invariants (edge symmetric, fwd its u<v orientation) that every benchmark
-// query assumes, and a raw Store.Load on any benchmark relation replaces it
-// without maintaining the wrapper's vertex/edge accounting — Nodes, Edges,
-// and the SetSelectivity sampling population would go stale.
+// query assumes, and a raw write on either bypasses the wrapper's vertex
+// accounting — Nodes and the SetSelectivity sampling population would go
+// stale.
 func (g *Graph) Store() *Store { return g.s }
 
 // ApplyEdges inserts and removes undirected edges through the incremental
 // write path, maintaining the schema invariants: both directions land in
 // "edge" and the u<v orientation in "fwd" — applied atomically under one
 // database lock, so a concurrent ReadTxn/Batch snapshot can never observe
-// one relation updated and not the other — and the wrapped graph's vertex
-// and edge accounting (Nodes, Edges, the population SetSelectivity samples
-// from) follows the writes. Self-loops are dropped; an edge on both sides
-// of one batch resolves as delete-after-insert. Like Store.Apply, it keeps
-// prepared handles on the default CSR backend serving current data.
+// one relation updated and not the other — and the vertex count (Nodes, the
+// population SetSelectivity samples from) grows to cover the inserted
+// edges. Self-loops are dropped; an edge on both sides of one batch
+// resolves as delete-after-insert. Like Store.Apply, it keeps lftj and ms
+// prepared handles serving current data.
 // (CountView.ApplyEdges additionally corrects a maintained count; this is
 // the view-less counterpart.)
 func (g *Graph) ApplyEdges(insert, remove [][2]int64) error {
 	if err := checkEdgeDomain(insert, remove); err != nil {
 		return err
 	}
-	// The database write and the accounting update form one critical
+	// The database write and the vertex count update form one critical
 	// section: a conflicting concurrent batch cannot interleave between
 	// them and desync the wrapper from the stored relations.
 	g.mu.Lock()
@@ -262,26 +254,25 @@ func (g *Graph) ApplyEdges(insert, remove [][2]int64) error {
 	if err != nil {
 		return err
 	}
-	g.applyDerivedLocked(insert, remove)
+	g.growNodesLocked(insert, remove)
 	return nil
 }
 
-// The wrapper accounting (g.g.Edges, g.g.N, edgeIdx) is maintained in time
-// proportional to the batch: the oriented-edge index is built once (on the
-// first write) and updated incrementally after that. The vertex count only
-// grows — removing an edge does not retire its endpoints. Both edge write
-// paths (Graph.ApplyEdges and CountView.ApplyEdges) land through
-// core.CanonicalDelta semantics — delete-after-insert, an edge on both
-// sides of one batch never lands — so one mirroring helper
-// (applyDerivedLocked) serves them both. All these helpers run under g.mu.
-
-func (g *Graph) ensureEdgeIdxLocked() {
-	if g.edgeIdx != nil {
-		return
+// growNodesLocked raises the vertex count to cover every inserted edge that
+// lands. Both edge write paths (Graph.ApplyEdges and CountView.ApplyEdges)
+// follow core.CanonicalDelta semantics — delete-after-insert: an edge on
+// both sides of one batch never lands, so it must not grow the count.
+// Callers hold g.mu.
+func (g *Graph) growNodesLocked(insert, remove [][2]int64) {
+	removed := make(map[[2]int64]bool, len(remove))
+	for _, e := range remove {
+		removed[[2]int64{min(e[0], e[1]), max(e[0], e[1])}] = true
 	}
-	g.edgeIdx = make(map[[2]int64]int, len(g.g.Edges))
-	for i, e := range g.g.Edges {
-		g.edgeIdx[e] = i
+	for _, e := range insert {
+		u, v := min(e[0], e[1]), max(e[0], e[1])
+		if u != v && !removed[[2]int64{u, v}] && int(v) >= g.nodes {
+			g.nodes = int(v) + 1
+		}
 	}
 }
 
@@ -304,66 +295,6 @@ func checkEdgeDomain(insert, remove [][2]int64) error {
 	return nil
 }
 
-// orientEdge normalizes an undirected edge to its u<v form; ok is false for
-// self-loops.
-func orientEdge(e [2]int64) (oe [2]int64, ok bool) {
-	u, v := e[0], e[1]
-	if u == v {
-		return oe, false
-	}
-	if u > v {
-		u, v = v, u
-	}
-	return [2]int64{u, v}, true
-}
-
-func (g *Graph) insertEdgeLocked(oe [2]int64) {
-	if _, ok := g.edgeIdx[oe]; ok {
-		return
-	}
-	g.edgeIdx[oe] = len(g.g.Edges)
-	g.g.Edges = append(g.g.Edges, oe)
-	if int(oe[1])+1 > g.g.N {
-		g.g.N = int(oe[1]) + 1
-	}
-}
-
-func (g *Graph) removeEdgeLocked(oe [2]int64) {
-	i, ok := g.edgeIdx[oe]
-	if !ok {
-		return
-	}
-	// Swap-remove: the edge list's order carries no meaning.
-	last := len(g.g.Edges) - 1
-	g.g.Edges[i] = g.g.Edges[last]
-	g.edgeIdx[g.g.Edges[i]] = i
-	g.g.Edges = g.g.Edges[:last]
-	delete(g.edgeIdx, oe)
-}
-
-// applyDerivedLocked mirrors ApplyDeltas/CanonicalDelta semantics
-// (delete-after-insert: an edge on both sides never lands and must not grow
-// the accounting or the vertex count).
-func (g *Graph) applyDerivedLocked(insert, remove [][2]int64) {
-	g.ensureEdgeIdxLocked()
-	removed := make(map[[2]int64]bool, len(remove))
-	for _, e := range remove {
-		if oe, ok := orientEdge(e); ok {
-			removed[oe] = true
-		}
-	}
-	for _, e := range insert {
-		if oe, ok := orientEdge(e); ok && !removed[oe] {
-			g.insertEdgeLocked(oe)
-		}
-	}
-	for _, e := range remove {
-		if oe, ok := orientEdge(e); ok {
-			g.removeEdgeLocked(oe)
-		}
-	}
-}
-
 // Prepare compiles the query against this graph for the configured engine;
 // see Store.Prepare.
 func (g *Graph) Prepare(q *Query, opts Options) (*Prepared, error) {
@@ -373,10 +304,10 @@ func (g *Graph) Prepare(q *Query, opts Options) (*Prepared, error) {
 // DB exposes the underlying database (for the benchmark harness).
 func (g *Graph) DB() *core.DB { return g.s.db }
 
-// Options select and configure an engine. Algorithm and Backend are typed —
-// use the exported constants (LFTJ, MS, ..., BackendFlat, BackendCSR);
-// string literals still assign for convenience, and Prepare rejects unknown
-// names eagerly with ErrUnknownAlgorithm / ErrUnknownBackend.
+// Options select and configure an engine. Algorithm is typed — use the
+// exported constants (LFTJ, MS, ...); string literals still assign for
+// convenience, and Prepare rejects unknown names eagerly with
+// ErrUnknownAlgorithm.
 type Options struct {
 	// Algorithm selects the engine: LFTJ, MS, Hybrid, PSQL, MonetDB,
 	// Yannakakis, GraphLab, or GenericJoin. Empty defaults to LFTJ.
@@ -387,14 +318,6 @@ type Options struct {
 	Granularity int
 	// GAO overrides the global attribute order (Table 4 experiments).
 	GAO []string
-	// Backend selects the physical index backend for the trie-driven
-	// engines (lftj, ms): BackendCSR (the default — materialized CSR trie
-	// levels, built once per index at Prepare time, with O(1) child-range
-	// resolution on the join hot path and incremental maintenance through
-	// delta overlays) or BackendFlat (binary search over the sorted rows —
-	// no extra memory, and the reference the CSR backend is
-	// differential-tested against). Other engines ignore it.
-	Backend Backend
 	// Idea toggles for the ablation experiments (all ideas default on).
 	DisableProbeMemo  bool // Idea 4
 	DisableComplete   bool // Idea 6
@@ -449,7 +372,6 @@ func (o Options) engineOptions() engine.Options {
 		Workers:     o.Workers,
 		Granularity: o.Granularity,
 		GAO:         o.GAO,
-		Backend:     o.Backend,
 		MaxRows:     o.MaxRows,
 		MS: minesweeper.Options{
 			DisableMemo:      o.DisableProbeMemo,
@@ -581,7 +503,7 @@ func (v *CountView) ApplyEdges(ctx context.Context, insert, remove [][2]int64) e
 	if err := v.inner.ApplyEdges(ctx, insert, remove); err != nil {
 		return err
 	}
-	v.g.applyDerivedLocked(insert, remove)
+	v.g.growNodesLocked(insert, remove)
 	return nil
 }
 

@@ -7,8 +7,8 @@ import (
 	"sort"
 	"testing"
 
-	"repro/internal/core"
 	"repro/internal/incremental"
+	"repro/internal/naive"
 	"repro/internal/query"
 	"repro/internal/relation"
 )
@@ -36,78 +36,78 @@ func sortedRows(rows [][]int64) {
 	})
 }
 
-// backendMatrix is every index backend, reference first.
-var backendMatrix = []Backend{BackendFlat, BackendCSR}
+// naiveRows evaluates q with the brute-force oracle (internal/naive) and
+// returns its rows sorted.
+func naiveRows(t *testing.T, g *Graph, q *Query) [][]int64 {
+	t.Helper()
+	var rows [][]int64
+	err := naive.Engine{}.Enumerate(context.Background(), q, g.DB(), func(tuple []int64) bool {
+		rows = append(rows, tuple)
+		return true
+	})
+	if err != nil {
+		t.Fatalf("naive %s: %v", q.Name, err)
+	}
+	sortedRows(rows)
+	return rows
+}
 
 // TestBackendDifferential runs every corpus query under both trie-driven
-// engines on every index backend and requires identical counts and identical
-// enumerated result sets — the flat backend is the reference implementation
-// the CSR backend must reproduce exactly.
+// engines, sequentially and as §4.10 parallel jobs, and requires counts and
+// enumerated result sets identical to the brute-force oracle's.
 func TestBackendDifferential(t *testing.T) {
 	ctx := context.Background()
 	g := GenerateGraph(HolmeKim, 250, 900, 3)
 	g.SetSelectivity(25, 5)
 	for _, q := range corpusQueries() {
+		want := naiveRows(t, g, q)
 		for _, alg := range []Algorithm{LFTJ, MS} {
 			t.Run(fmt.Sprintf("%s/%s", q.Name, string(alg)), func(t *testing.T) {
-				var counts []int64
-				var rows [][][]int64
-				for _, backend := range backendMatrix {
-					p, err := g.Prepare(q, Options{Algorithm: alg, Workers: 1, Backend: backend})
+				for _, opts := range []Options{
+					{Algorithm: alg, Workers: 1},
+					{Algorithm: alg, Workers: 4, Granularity: 8},
+				} {
+					p, err := g.Prepare(q, opts)
 					if err != nil {
-						t.Fatalf("%s prepare: %v", backend, err)
-					}
-					if got := p.Explain().Backend; got != backend {
-						t.Fatalf("Explain reports backend %q, want %q", got, backend)
+						t.Fatalf("workers=%d prepare: %v", opts.Workers, err)
 					}
 					n, err := p.Count(ctx)
 					if err != nil {
-						t.Fatalf("%s count: %v", backend, err)
+						t.Fatalf("workers=%d count: %v", opts.Workers, err)
 					}
-					var rs [][]int64
+					if n != int64(len(want)) {
+						t.Fatalf("workers=%d: count %d, oracle %d", opts.Workers, n, len(want))
+					}
+					var rows [][]int64
 					err = p.Enumerate(ctx, func(tuple []int64) bool {
-						rs = append(rs, append([]int64(nil), tuple...))
+						rows = append(rows, append([]int64(nil), tuple...))
 						return true
 					})
 					if err != nil {
-						t.Fatalf("%s enumerate: %v", backend, err)
+						t.Fatalf("workers=%d enumerate: %v", opts.Workers, err)
 					}
-					if int64(len(rs)) != n {
-						t.Fatalf("%s: count %d != enumerated %d", backend, n, len(rs))
-					}
-					sortedRows(rs)
-					counts = append(counts, n)
-					rows = append(rows, rs)
-				}
-				for b := 1; b < len(backendMatrix); b++ {
-					if counts[0] != counts[b] {
-						t.Fatalf("count mismatch: flat %d, %s %d", counts[0], backendMatrix[b], counts[b])
-					}
-					for i := range rows[0] {
-						if relation.CompareTuples(rows[0][i], rows[b][i]) != 0 {
-							t.Fatalf("row %d mismatch: flat %v, %s %v", i, rows[0][i], backendMatrix[b], rows[b][i])
-						}
-					}
+					sortedRows(rows)
+					requireSameRows(t, fmt.Sprintf("workers=%d", opts.Workers), rows, want)
 				}
 			})
 		}
 	}
 }
 
-// TestBackendParallelDifferential checks the partitioned §4.10 count path on
-// the csr backend against the sequential flat reference, on both cyclic and
-// acyclic shapes.
+// TestBackendParallelDifferential checks the partitioned §4.10 count path
+// against the sequential one on a graph large enough to populate every job,
+// on both cyclic and acyclic shapes.
 func TestBackendParallelDifferential(t *testing.T) {
 	ctx := context.Background()
 	g := GenerateGraph(BarabasiAlbert, 2000, 10000, 11)
 	g.SetSelectivity(10, 3)
 	for _, q := range []*Query{Triangles(), Cliques(4), Paths(3)} {
-		want, err := Count(ctx, g, q, Options{Algorithm: "lftj", Workers: 1, Backend: "flat"})
+		want, err := Count(ctx, g, q, Options{Algorithm: LFTJ, Workers: 1})
 		if err != nil {
 			t.Fatal(err)
 		}
 		for _, alg := range []Algorithm{LFTJ, MS} {
-			got, err := Count(ctx, g, q, Options{Algorithm: alg, Workers: 4, Granularity: 8, Backend: BackendCSR})
+			got, err := Count(ctx, g, q, Options{Algorithm: alg, Workers: 4, Granularity: 8})
 			if err != nil {
 				t.Fatalf("%s/%s parallel: %v", q.Name, alg, err)
 			}
@@ -118,57 +118,11 @@ func TestBackendParallelDifferential(t *testing.T) {
 	}
 }
 
-// TestBackendDefault pins the default backend: an unset Options.Backend
-// compiles against csr.
-func TestBackendDefault(t *testing.T) {
-	g := GenerateGraph(ErdosRenyi, 100, 300, 2)
-	p, err := g.Prepare(Triangles(), Options{Algorithm: "lftj"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := p.Explain().Backend; got != "csr" {
-		t.Errorf("default backend = %q, want csr", got)
-	}
-}
-
-// TestBackendPlanCaching pins the backend as a plan-cache dimension: the
-// same shape prepared under both backends compiles twice, and re-preparing
-// either hits its cached plan.
-func TestBackendPlanCaching(t *testing.T) {
-	g := GenerateGraph(ErdosRenyi, 200, 600, 1)
-	q := Triangles()
-	before := g.DB().CachedPlanCount()
-	for _, backend := range backendMatrix {
-		if _, err := g.Prepare(q, Options{Algorithm: "lftj", Backend: backend}); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if got := g.DB().CachedPlanCount() - before; got != len(backendMatrix) {
-		t.Errorf("expected %d cached plans (one per backend), got %d", len(backendMatrix), got)
-	}
-	p, err := g.Prepare(q, Options{Algorithm: "lftj", Backend: "csr"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if st := p.Stats(); st.PlanCacheHits != 1 {
-		t.Errorf("re-prepare under csr: PlanCacheHits = %d, want 1", st.PlanCacheHits)
-	}
-}
-
-// TestBackendUnknown rejects a misspelled backend at Prepare time.
-func TestBackendUnknown(t *testing.T) {
-	g := GenerateGraph(ErdosRenyi, 50, 100, 1)
-	if _, err := g.Prepare(Triangles(), Options{Algorithm: "lftj", Backend: "btree"}); err == nil {
-		t.Error("unknown backend should fail Prepare")
-	}
-}
-
-// TestViewBackendDifferential maintains the same views on every backend
-// through a long randomized ApplyEdges churn and requires identical counts
-// after every batch — with a full recount as ground truth. On the CSR
-// backend the batches land in the cached indexes' delta overlays, so this
-// drives the overlay merge paths (cursor, probe, compaction) through the
-// whole engine stack; flat re-binds per batch and is the reference.
+// TestViewBackendDifferential maintains one view per query through a long
+// randomized ApplyEdges churn and checks it after every batch against a full
+// recount and the brute-force oracle. The batches land in the cached CSR
+// indexes' delta overlays, so this drives the overlay merge paths (cursor,
+// probe, compaction) through the whole engine stack.
 func TestViewBackendDifferential(t *testing.T) {
 	ctx := context.Background()
 	rng := rand.New(rand.NewSource(1234))
@@ -180,18 +134,10 @@ func TestViewBackendDifferential(t *testing.T) {
 				edges = append(edges, [2]int64{u, v})
 			}
 		}
-		graphs := make([]*Graph, len(backendMatrix))
-		views := make([]*incremental.GraphView, len(backendMatrix))
-		for i, backend := range backendMatrix {
-			graphs[i] = NewGraph(edges)
-			v, err := incremental.NewGraphViewBackend(ctx, q, graphs[i].DB(), core.Backend(backend))
-			if err != nil {
-				t.Fatal(err)
-			}
-			if v.Backend() != core.Backend(backend) {
-				t.Fatalf("view backend = %q, want %q", v.Backend(), backend)
-			}
-			views[i] = v
+		g := NewGraph(edges)
+		v, err := incremental.NewGraphView(ctx, q, g.DB())
+		if err != nil {
+			t.Fatal(err)
 		}
 		for step := 0; step < 15; step++ {
 			var ins, del [][2]int64
@@ -206,32 +152,32 @@ func TestViewBackendDifferential(t *testing.T) {
 					del = append(del, e)
 				}
 			}
-			for i, v := range views {
-				if err := v.ApplyEdges(ctx, ins, del); err != nil {
-					t.Fatalf("%s %s step %d: %v", q.Name, backendMatrix[i], step, err)
-				}
+			if err := v.ApplyEdges(ctx, ins, del); err != nil {
+				t.Fatalf("%s step %d: %v", q.Name, step, err)
 			}
-			want, err := views[0].Recount(ctx)
+			recount, err := v.Recount(ctx)
 			if err != nil {
 				t.Fatal(err)
 			}
-			for i, v := range views {
-				if v.Count() != want {
-					t.Fatalf("%s step %d: %s view = %d, recount = %d (ins=%v del=%v)",
-						q.Name, step, backendMatrix[i], v.Count(), want, ins, del)
-				}
+			oracle, err := naive.Engine{}.Count(ctx, q, g.DB())
+			if err != nil {
+				t.Fatal(err)
+			}
+			if v.Count() != recount || v.Count() != oracle {
+				t.Fatalf("%s step %d: view = %d, recount = %d, oracle = %d (ins=%v del=%v)",
+					q.Name, step, v.Count(), recount, oracle, ins, del)
 			}
 		}
 	}
 }
 
 // TestViewPlanReuseOnCSR pins the overlay payoff: across many batches the
-// CSR-backed view derives its GAO once and never re-binds a base-relation
-// index — only the tiny delta atoms re-bind.
+// view derives its GAO once and never re-binds a base-relation CSR index —
+// only the tiny delta atoms re-bind.
 func TestViewPlanReuseOnCSR(t *testing.T) {
 	ctx := context.Background()
 	g := GenerateGraph(BarabasiAlbert, 300, 1200, 7)
-	v, err := incremental.NewGraphViewBackend(ctx, Triangles(), g.DB(), core.BackendCSR)
+	v, err := incremental.NewGraphView(ctx, Triangles(), g.DB())
 	if err != nil {
 		t.Fatal(err)
 	}

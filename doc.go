@@ -24,7 +24,7 @@
 //
 // A Prepared handle is safe for concurrent use and pins the physical design
 // it was compiled against; compiled plans are also cached on the store
-// (keyed on query shape × algorithm × backend × GAO, invalidated when a
+// (keyed on query shape × algorithm × GAO, invalidated when a
 // relation they read is replaced), so re-preparing an unchanged shape is
 // cheap. One-shot helpers (Count, Enumerate, CountWithStats) remain as thin
 // wrappers over Prepare.
@@ -98,40 +98,32 @@
 // as an operational signal — the store is consistent, but the previous
 // process died uncleanly.
 //
-// # Storage and index backends
+// # Storage and the CSR index
 //
 // Relations are immutable, lexicographically sorted tuple sets over int64
-// domains (internal/relation). Every atom of a compiled query is bound to a
-// GAO-consistent index — the relation with its columns permuted into global
-// attribute order (§4.1) — and those indexes are served through a pluggable
-// backend (Options.Backend) implementing the trie contract the paper's
-// engines assume:
+// domains (internal/relation). LFTJ and Minesweeper bind every atom of a
+// compiled query to one GAO-consistent index — the relation with its
+// columns permuted into global attribute order (§4.1) — materialized as a
+// CSR attribute trie (one contiguous key array per level plus
+// child-offset arrays, the TrieJax/EmptyHeaded layout): cursor Open/Next
+// are O(1) array arithmetic, SeekGE gallops over a dense cache-resident
+// array, and gap probes run one bounded binary search per level. The trie
+// is built once per index at Prepare time for up to ~1.5·arity·n extra
+// keys of memory, and maintained incrementally: update batches
+// (Store.Apply, the incremental views) fold into a small sorted delta
+// overlay — an adds log plus delete tombstones merged at cursor level and
+// compacted past a threshold — so an update costs time proportional to
+// the small log, not an O(arity·n) trie rebuild, and compiled plans stay
+// valid across updates. The §4.10 parallel job cut points are read off
+// level 0 of the bound trie itself. Generic join, whose Algorithm 1
+// narrows explicit row spans, binds the sorted rows instead.
 //
-//   - "csr" (default) — a materialized CSR attribute trie (one contiguous
-//     key array per level plus child-offset arrays, the TrieJax/EmptyHeaded
-//     layout): cursor Open/Next are O(1) array arithmetic, SeekGE gallops
-//     over a dense cache-resident array, and gap probes run one bounded
-//     binary search per level. Built once per index at Prepare time for up
-//     to ~1.5·arity·n extra keys of memory, and maintained incrementally:
-//     update batches (DB.ApplyDelta, driven by the incremental views) fold
-//     into a small sorted delta overlay — an adds log plus delete
-//     tombstones merged at cursor level and compacted past a threshold —
-//     so an update costs time proportional to the small log, not an
-//     O(arity·n) trie rebuild, and compiled
-//     plans stay valid across updates.
-//   - "flat" — the sorted rows themselves; trie-cursor moves and
-//     Minesweeper's LUB/GLB gap probes re-derive child ranges by binary
-//     search over row ranges on each operation. Zero extra memory and
-//     build cost; the reference implementation the CSR backend is
-//     differential-tested against.
-//
-// Pick "flat" for one-shot queries on memory-tight settings and the "csr"
-// default otherwise — including under incremental view maintenance and
-// parallel Counts, whose §4.10 job cut points are read off level 0 of the
-// bound trie itself. BenchmarkBackend and BenchmarkBackendParallel in
-// bench_test.go track the speedups; both backends must produce identical
-// results on the whole query corpus, including under parallel execution
-// and view maintenance (backend_diff_test.go).
+// The references the CSR index is tested against are the brute-force
+// oracle internal/naive (query results, backend_diff_test.go) and the
+// binary-search cursor and gap probe over the sorted rows
+// (relation.TrieIterator and Relation.ProbeGap, cursor contract).
+// BenchmarkBackend and BenchmarkBackendParallel in bench_test.go track the
+// join hot path.
 //
 // # Engines
 //

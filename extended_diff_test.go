@@ -7,6 +7,7 @@ import (
 	"math/rand"
 	"testing"
 
+	"repro/internal/naive"
 	"repro/internal/query"
 	"repro/internal/relation"
 )
@@ -41,7 +42,8 @@ func extendedCorpus() []string {
 }
 
 // referenceEval evaluates an extended query by brute force: enumerate the
-// plain natural join of the query's atoms, post-filter every predicate,
+// plain natural join of the query's atoms with the internal/naive oracle,
+// post-filter every predicate,
 // project with duplicate elimination, and aggregate over the distinct
 // projected bindings — the semantics the engines' pushed-down execution must
 // reproduce exactly.
@@ -81,7 +83,7 @@ func referenceEval(t *testing.T, s *Store, q *Query) [][]int64 {
 	prefixVars := q.Vars()[:q.Prefix()]
 	seen := make(map[string]bool)
 	var prefixRows [][]int64
-	err := s.Enumerate(ctx, plain, Options{Algorithm: LFTJ, Workers: 1, Backend: BackendFlat}, func(row []int64) bool {
+	err := naive.Engine{}.Enumerate(ctx, plain, s.db, func(row []int64) bool {
 		for _, p := range q.Preds {
 			if !evalPred(row, p) {
 				return true
@@ -177,9 +179,9 @@ func requireSameRows(t *testing.T, label string, got, want [][]int64) {
 }
 
 // TestExtendedDifferential runs the extended corpus under both trie-driven
-// engines on every index backend and requires identical counts and row sets
-// everywhere — checked against an independent brute-force reference
-// (enumerate-then-filter-then-group), not just engine-vs-engine.
+// engines and requires counts and row sets identical to an independent
+// brute-force reference (enumerate-then-filter-then-group). The subtest
+// leaf names the index the engines bind.
 func TestExtendedDifferential(t *testing.T) {
 	ctx := context.Background()
 	g := GenerateGraph(HolmeKim, 250, 900, 3)
@@ -191,39 +193,36 @@ func TestExtendedDifferential(t *testing.T) {
 		}
 		want := referenceEval(t, s, q)
 		for _, alg := range []Algorithm{LFTJ, MS} {
-			for _, backend := range backendMatrix {
-				t.Run(fmt.Sprintf("%s/%s/%s", src, alg, backend), func(t *testing.T) {
-					p, err := s.Prepare(q, Options{Algorithm: alg, Workers: 1, Backend: backend})
-					if err != nil {
-						t.Fatalf("prepare: %v", err)
+			t.Run(fmt.Sprintf("%s/%s/csr", src, alg), func(t *testing.T) {
+				p, err := s.Prepare(q, Options{Algorithm: alg, Workers: 1})
+				if err != nil {
+					t.Fatalf("prepare: %v", err)
+				}
+				n, err := p.Count(ctx)
+				if err != nil {
+					t.Fatalf("count: %v", err)
+				}
+				rows := collectRows(t, p)
+				if int64(len(rows)) != n {
+					t.Fatalf("count %d != enumerated %d", n, len(rows))
+				}
+				for _, r := range rows {
+					if len(r) != q.OutWidth() {
+						t.Fatalf("row width %d, want OutWidth %d", len(r), q.OutWidth())
 					}
-					n, err := p.Count(ctx)
-					if err != nil {
-						t.Fatalf("count: %v", err)
-					}
-					rows := collectRows(t, p)
-					if int64(len(rows)) != n {
-						t.Fatalf("count %d != enumerated %d", n, len(rows))
-					}
-					for _, r := range rows {
-						if len(r) != q.OutWidth() {
-							t.Fatalf("row width %d, want OutWidth %d", len(r), q.OutWidth())
-						}
-					}
-					sortedRows(rows)
-					requireSameRows(t, fmt.Sprintf("%s/%s", alg, backend), rows, want)
-				})
-			}
+				}
+				sortedRows(rows)
+				requireSameRows(t, string(alg), rows, want)
+			})
 		}
 	}
 }
 
 // TestExtendedDifferentialChurn re-runs a slice of the extended corpus after
-// every step of a randomized 15-step Apply churn, across both engines and
-// every backend, against the brute-force reference recomputed per step. The
-// handles are re-prepared each step: flat indexes are frozen at Prepare
-// time, and the plan cache must serve correct (invalidated or
-// overlay-advanced) plans through the writes.
+// every step of a randomized 15-step Apply churn, across both engines,
+// against the brute-force reference recomputed per step. The handles are
+// re-prepared each step, so the plan cache must serve plans whose indexes
+// the overlays advanced through the writes.
 func TestExtendedDifferentialChurn(t *testing.T) {
 	rng := rand.New(rand.NewSource(99))
 	s := NewStore()
@@ -268,15 +267,13 @@ func TestExtendedDifferentialChurn(t *testing.T) {
 		for qi, q := range queries {
 			want := referenceEval(t, s, q)
 			for _, alg := range []Algorithm{LFTJ, MS} {
-				for _, backend := range backendMatrix {
-					p, err := s.Prepare(q, Options{Algorithm: alg, Workers: 1, Backend: backend})
-					if err != nil {
-						t.Fatalf("step %d %s/%s/%s prepare: %v", step, srcs[qi], alg, backend, err)
-					}
-					rows := collectRows(t, p)
-					sortedRows(rows)
-					requireSameRows(t, fmt.Sprintf("step %d %s/%s/%s", step, srcs[qi], alg, backend), rows, want)
+				p, err := s.Prepare(q, Options{Algorithm: alg, Workers: 1})
+				if err != nil {
+					t.Fatalf("step %d %s/%s prepare: %v", step, srcs[qi], alg, err)
 				}
+				rows := collectRows(t, p)
+				sortedRows(rows)
+				requireSameRows(t, fmt.Sprintf("step %d %s/%s", step, srcs[qi], alg), rows, want)
 			}
 		}
 	}

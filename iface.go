@@ -9,7 +9,7 @@ import (
 // PreparedQuery is the execution surface of a compiled query, shared by the
 // in-process *Prepared handle and the network client's remote handle
 // (package repro/client). Everything Prepare validated — schema, algorithm,
-// backend, GAO — is settled; the methods here are pure execution.
+// GAO — is settled; the methods here are pure execution.
 type PreparedQuery interface {
 	// Query returns the compiled query.
 	Query() *Query
@@ -86,7 +86,7 @@ type BatchRequest struct {
 //	q, err := client.Dial(ctx, "db-host:7474")  // remote
 //
 // Method semantics match Store exactly; see the Store, Prepared, and Txn
-// documentation for the contracts (snapshot pinning, per-backend freshness,
+// documentation for the contracts (snapshot pinning, freshness after writes,
 // batch error isolation).
 type Querier interface {
 	// DefineRelation declares a named relation of the given arity.

@@ -46,13 +46,12 @@ type DB struct {
 	version int64
 }
 
-// trieEntry is one cached physical index together with the permutation and
-// backend it was built under, so ApplyDelta can route an update batch into
-// the index's own attribute order.
+// trieEntry is one cached CSR index together with the permutation it was
+// built under, so ApplyDelta can route an update batch into the index's own
+// attribute order.
 type trieEntry struct {
-	perm    []int
-	backend Backend
-	idx     IndexBackend
+	perm []int
+	idx  *csrIndex
 }
 
 // NewDB returns an empty database.
@@ -116,9 +115,7 @@ func (db *DB) OverlayDepth() int {
 	defer db.mu.Unlock()
 	total := 0
 	for _, e := range db.tries {
-		if p, ok := e.idx.(interface{ PendingDelta() int }); ok {
-			total += p.PendingDelta()
-		}
+		total += e.idx.PendingDelta()
 	}
 	return total
 }
@@ -138,11 +135,10 @@ func (db *DB) Version() int64 {
 // maintains the cached physical design incrementally instead of discarding
 // it — every cached CSR index absorbs the batch through its delta overlay
 // (relation.Overlay) in time proportional to the small log — no trie
-// rebuild — and plans compiled against the CSR
-// backend stay valid because their index objects are advanced in place.
-// Flat indexes, and plans bound to them, are invalidated and rebuilt lazily
-// (the flat permuted relations are re-derived from the merged relation on
-// next use).
+// rebuild — and plans bound to trie indexes stay valid because their index
+// objects are advanced in place. Plans bound to the sorted rows (generic
+// join's) are dropped, and the permuted rows are re-derived from the merged
+// relation on next use.
 //
 // Inserts already present and deletes absent are ignored, and a tuple
 // appearing on both sides of one batch resolves as delete-after-insert (an
@@ -209,14 +205,10 @@ func (db *DB) applyDeltaLocked(name string, inserts, deletes [][]int64) error {
 		if len(k) < len(prefix) || k[:len(prefix)] != prefix {
 			continue
 		}
-		if e.backend == BackendCSR {
-			e.idx.(*csrIndex).applyDelta(permuteTuples(ins, e.perm), permuteTuples(dels, e.perm))
-			continue
-		}
-		delete(db.tries, k)
+		e.idx.applyDelta(permuteTuples(ins, e.perm), permuteTuples(dels, e.perm))
 	}
 	for k, p := range db.plans {
-		if p.reads(name) && p.Backend != BackendCSR {
+		if p.reads(name) && p.bindsRows() {
 			delete(db.plans, k)
 		}
 	}
@@ -347,24 +339,22 @@ func (db *DB) indexLocked(name string, perm []int) (*relation.Relation, error) {
 	if !ok {
 		return nil, fmt.Errorf("core: %w: %q", ErrUnknownRelation, name)
 	}
+	if len(perm) != r.Arity() {
+		return nil, fmt.Errorf("core: %d columns bound over the %d-ary relation %q", len(perm), r.Arity(), name)
+	}
 	idx := r.Permute(perm)
 	db.indexes[key] = idx
 	return idx, nil
 }
 
-// TrieIndex returns the named relation's GAO-consistent index under the
-// chosen backend, caching the built index alongside the permuted relation
-// (both caches are invalidated per relation by Add; ApplyDelta instead
-// advances cached CSR indexes in place through their delta overlays). The
-// flat backend wraps the permuted relation directly; the CSR backends
-// additionally materialize their trie levels here, so the build cost is
-// paid once per relation × permutation × backend and amortized across
-// executions.
-func (db *DB) TrieIndex(name string, perm []int, backend Backend) (IndexBackend, error) {
-	if backend == "" {
-		backend = DefaultBackend
-	}
-	key := indexKey(name, perm) + "#" + string(backend)
+// TrieIndex returns the named relation's GAO-consistent CSR trie index,
+// caching it alongside the permuted relation it is built from (both caches
+// are invalidated per relation by Add; ApplyDelta instead advances cached
+// CSR indexes in place through their delta overlays). The trie levels are
+// materialized here, so the O(arity · n) build is paid once per relation ×
+// permutation and amortized across executions.
+func (db *DB) TrieIndex(name string, perm []int) (IndexBackend, error) {
+	key := indexKey(name, perm)
 	db.mu.Lock()
 	defer db.mu.Unlock()
 	if e, ok := db.tries[key]; ok {
@@ -374,11 +364,8 @@ func (db *DB) TrieIndex(name string, perm []int, backend Backend) (IndexBackend,
 	if err != nil {
 		return nil, err
 	}
-	idx, err := NewIndexBackend(rel, backend)
-	if err != nil {
-		return nil, err
-	}
-	db.tries[key] = trieEntry{perm: append([]int(nil), perm...), backend: backend, idx: idx}
+	idx := newCSRIndex(rel)
+	db.tries[key] = trieEntry{perm: append([]int(nil), perm...), idx: idx}
 	return idx, nil
 }
 
@@ -394,26 +381,35 @@ type Engine interface {
 
 // AtomIndex resolves the GAO-consistent index for one atom: the atom's
 // variables sorted by GAO position, the permutation applied, and the global
-// GAO positions of its columns in index order.
+// GAO positions of its columns in index order. Exactly one of Rel and Index
+// is set.
 type AtomIndex struct {
-	// Rel is the permuted flat relation the index was bound over. It is
-	// populated only for the flat backend (where it is the index) — the
-	// engine that needs row-level access, generic join, always binds flat.
-	// CSR-backed bindings leave it nil so incremental updates never force
-	// the permuted flat relation to be rebuilt; introspection reads live
-	// Arity/Len through Index instead.
+	// Rel is the permuted sorted relation, set by BindRows for generic
+	// join, whose Algorithm 1 narrows explicit row spans.
 	Rel *relation.Relation
-	// Index is the backend-selected trie index; the trie-driven engines
-	// (LFTJ, Minesweeper) execute exclusively against it.
+	// Index is the CSR trie index, set by BindAtom and BindAtoms for the
+	// trie-driven engines (LFTJ, Minesweeper).
 	Index IndexBackend
 	// VarPos[k] is the GAO position of the index's column k.
 	VarPos []int
 }
 
-// BindAtom builds the GAO-consistent index for one atom under the chosen
-// backend. gaoPos maps variable name to GAO position. The incremental views
-// use it to re-bind just their delta atoms per update batch.
-func BindAtom(a query.Atom, db *DB, gaoPos map[string]int, backend Backend) (AtomIndex, error) {
+// Len returns the number of bound tuples.
+func (a AtomIndex) Len() int {
+	if a.Rel != nil {
+		return a.Rel.Len()
+	}
+	return a.Index.Len()
+}
+
+// BindAtom binds one atom's GAO-consistent CSR trie index. gaoPos maps
+// variable name to GAO position. The incremental views use it to re-bind
+// just their delta atoms per update batch.
+func BindAtom(a query.Atom, db *DB, gaoPos map[string]int) (AtomIndex, error) {
+	return bindAtom(a, db, gaoPos, false)
+}
+
+func bindAtom(a query.Atom, db *DB, gaoPos map[string]int, rows bool) (AtomIndex, error) {
 	order := make([]int, len(a.Vars)) // column order by GAO position
 	for k := range order {
 		order[k] = k
@@ -421,35 +417,47 @@ func BindAtom(a query.Atom, db *DB, gaoPos map[string]int, backend Backend) (Ato
 	sort.Slice(order, func(x, y int) bool {
 		return gaoPos[a.Vars[order[x]]] < gaoPos[a.Vars[order[y]]]
 	})
-	trie, err := db.TrieIndex(a.Rel, order, backend)
+	var ai AtomIndex
+	var err error
+	if rows {
+		ai.Rel, err = db.Index(a.Rel, order)
+	} else {
+		ai.Index, err = db.TrieIndex(a.Rel, order)
+	}
 	if err != nil {
 		return AtomIndex{}, err
 	}
-	var rel *relation.Relation
-	if fi, ok := trie.(flatIndex); ok {
-		rel = fi.r
-	}
-	varPos := make([]int, len(order))
+	ai.VarPos = make([]int, len(order))
 	for k, col := range order {
 		p, ok := gaoPos[a.Vars[col]]
 		if !ok {
 			return AtomIndex{}, fmt.Errorf("core: %w: GAO misses variable %q of atom %s", ErrUnboundVar, a.Vars[col], a)
 		}
-		varPos[k] = p
+		ai.VarPos[k] = p
 	}
-	return AtomIndex{Rel: rel, Index: trie, VarPos: varPos}, nil
+	return ai, nil
 }
 
-// BindAtoms builds GAO-consistent indexes for all atoms of a query under the
-// chosen backend (paper §4.1).
-func BindAtoms(q *query.Query, db *DB, gao []string, backend Backend) ([]AtomIndex, error) {
+// BindAtoms binds the GAO-consistent CSR trie index of every atom of a
+// query (paper §4.1).
+func BindAtoms(q *query.Query, db *DB, gao []string) ([]AtomIndex, error) {
+	return bindAtoms(q, db, gao, false)
+}
+
+// BindRows binds the GAO-consistent sorted rows of every atom of a query:
+// the binding generic join executes over.
+func BindRows(q *query.Query, db *DB, gao []string) ([]AtomIndex, error) {
+	return bindAtoms(q, db, gao, true)
+}
+
+func bindAtoms(q *query.Query, db *DB, gao []string, rows bool) ([]AtomIndex, error) {
 	pos := make(map[string]int, len(gao))
 	for i, v := range gao {
 		pos[v] = i
 	}
 	out := make([]AtomIndex, len(q.Atoms))
 	for i, a := range q.Atoms {
-		ai, err := BindAtom(a, db, pos, backend)
+		ai, err := bindAtom(a, db, pos, rows)
 		if err != nil {
 			return nil, err
 		}

@@ -12,34 +12,29 @@ import "sync"
 // surfaces.
 //
 // A lease needs no release: the pinned views are ordinary overlay snapshots
-// and the garbage collector reclaims them when the lease is dropped. Indexes
-// that are immutable objects (flat bindings — ApplyDelta replaces rather
-// than advances them) pass through unpinned; a plan holding them is
-// already frozen at its compile-time state.
+// and the garbage collector reclaims them when the lease is dropped.
 type Lease struct {
 	mu    sync.Mutex
 	views map[IndexBackend]IndexBackend
 }
 
-// NewLease pins the current state of every cached snapshottable index.
+// NewLease pins the current state of every cached CSR index.
 func (db *DB) NewLease() *Lease {
 	db.mu.Lock()
 	defer db.mu.Unlock()
-	l := &Lease{views: make(map[IndexBackend]IndexBackend)}
+	l := &Lease{views: make(map[IndexBackend]IndexBackend, len(db.tries))}
 	for _, e := range db.tries {
-		if s, ok := e.idx.(Snapshotter); ok {
-			l.views[e.idx] = s.Snapshot()
-		}
+		l.views[e.idx] = e.idx.snapshot()
 	}
 	return l
 }
 
-// Pin resolves atom bindings through the lease: a snapshottable index maps to
-// the view pinned at lease creation. An index first bound after the lease was
+// Pin resolves atom bindings through the lease: a live CSR index maps to the
+// view pinned at lease creation. An index first bound after the lease was
 // taken is pinned on first encounter and memoized, so repeated executions
-// through the same lease still agree with each other. Non-snapshottable
-// indexes pass through unchanged; when nothing is snapshottable the input
-// slice is returned as is.
+// through the same lease still agree with each other. Row bindings and
+// already pinned views pass through unchanged; when nothing is live the
+// input slice is returned as is.
 func (l *Lease) Pin(atoms []AtomIndex) []AtomIndex {
 	l.mu.Lock()
 	defer l.mu.Unlock()

@@ -21,10 +21,8 @@ type Plan struct {
 	Algorithm string
 	// GAO is the resolved global attribute order.
 	GAO []string
-	// Backend is the index backend every atom is bound under.
-	Backend Backend
-	// Atoms holds the GAO-consistent index binding of each query atom, in
-	// q.Atoms order.
+	// Atoms holds the GAO-consistent binding of each query atom, in
+	// q.Atoms order: CSR trie indexes, or sorted rows for generic join.
 	Atoms []AtomIndex
 	// InSkel marks the atoms in Minesweeper's skeleton (§4.9); nil means
 	// every atom.
@@ -47,22 +45,26 @@ func (p *Plan) reads(rel string) bool {
 	return false
 }
 
-// PlanKey builds the plan-cache key for a query shape under one algorithm,
-// index backend, and (possibly empty) user-supplied GAO. variant
-// distinguishes compilations of the same shape that planner toggles would
-// change (e.g. Minesweeper with the skeleton idea disabled). The query's
+// bindsRows reports whether the plan binds sorted rows rather than trie
+// indexes. Row bindings are immutable, so ApplyDelta drops such plans.
+func (p *Plan) bindsRows() bool {
+	return len(p.Atoms) > 0 && p.Atoms[0].Rel != nil
+}
+
+// PlanKey builds the plan-cache key for a query shape under one algorithm
+// and (possibly empty) user-supplied GAO. variant distinguishes
+// compilations of the same shape that planner toggles would change (e.g.
+// Minesweeper with the skeleton idea disabled). The query's
 // variable order is part of the key: two queries with the same atom list but
 // different output orders (a parsed head reorders Vars) resolve different
 // default GAOs and must not share a compilation. Extended queries render
 // their head, inlined constants, predicates, and aggregates into q.String(),
 // so projection, selection, and aggregation are all key dimensions.
-func PlanKey(algorithm, variant string, backend Backend, userGAO []string, q *query.Query) string {
+func PlanKey(algorithm, variant string, userGAO []string, q *query.Query) string {
 	var b strings.Builder
 	b.WriteString(algorithm)
 	b.WriteByte('|')
 	b.WriteString(variant)
-	b.WriteByte('|')
-	b.WriteString(string(backend))
 	b.WriteByte('|')
 	b.WriteString(strings.Join(userGAO, ","))
 	b.WriteByte('|')
@@ -119,29 +121,21 @@ func (db *DB) CachedPlanCount() int {
 }
 
 // NewPlan compiles a query for an engine: validates it, checks the GAO
-// covers every variable, binds the GAO-consistent indexes under the chosen
-// backend, and verifies atom/relation arity agreement. Counters for the work
+// covers every variable, and binds the GAO-consistent CSR trie indexes (or,
+// with rows, the sorted rows generic join narrows). Counters for the work
 // performed are added to sc (which may be nil). NewPlan does not consult the
 // plan cache — see the engine package for the cached compilation entry
 // point.
-func NewPlan(q *query.Query, db *DB, algorithm string, gao []string, inSkel []bool, betaCyclic bool, backend Backend, sc *StatsCollector) (*Plan, error) {
+func NewPlan(q *query.Query, db *DB, algorithm string, gao []string, inSkel []bool, betaCyclic, rows bool, sc *StatsCollector) (*Plan, error) {
 	if err := q.Validate(); err != nil {
 		return nil, err
 	}
 	if len(gao) != q.NumVars() {
 		return nil, fmt.Errorf("core: GAO %v does not cover the %d query variables: %w", gao, q.NumVars(), ErrUnboundVar)
 	}
-	if backend == "" {
-		backend = DefaultBackend
-	}
-	atoms, err := BindAtoms(q, db, gao, backend)
+	atoms, err := bindAtoms(q, db, gao, rows)
 	if err != nil {
 		return nil, err
-	}
-	for i, a := range atoms {
-		if a.Index.Arity() != len(q.Atoms[i].Vars) {
-			return nil, fmt.Errorf("core: atom %s arity mismatch with its %d-ary index", q.Atoms[i], a.Index.Arity())
-		}
 	}
 	push, err := CompilePushdown(q, gao)
 	if err != nil {
@@ -152,7 +146,6 @@ func NewPlan(q *query.Query, db *DB, algorithm string, gao []string, inSkel []bo
 		Query:      q,
 		Algorithm:  algorithm,
 		GAO:        gao,
-		Backend:    backend,
 		Atoms:      atoms,
 		InSkel:     inSkel,
 		BetaCyclic: betaCyclic,

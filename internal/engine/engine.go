@@ -94,10 +94,6 @@ type Options struct {
 	MS minesweeper.Options
 	// GAO overrides the attribute order for LFTJ and Minesweeper.
 	GAO []string
-	// Backend selects the index backend for the trie-driven engines (LFTJ,
-	// Minesweeper): core.BackendCSR (the default) or core.BackendFlat (the
-	// reference).
-	Backend core.Backend
 	// MaxRows caps pairwise-engine intermediates.
 	MaxRows int
 	// Plan, when set, is a compiled plan the engine executes directly
@@ -191,11 +187,14 @@ type parallel struct {
 // Name implements core.Engine.
 func (p *parallel) Name() string { return string(p.opts.Algorithm) }
 
-func (p *parallel) single() core.Engine {
+// engine returns the single-threaded LFTJ or Minesweeper engine over the
+// handle's options, restricted to first-GAO-variable values in rng when it
+// is non-nil (one §4.10 job, or an external FirstVarRange).
+func (p *parallel) engine(rng *Range) core.Engine {
 	if p.opts.Algorithm == LFTJ {
-		opts := lftj.Options{GAO: p.gao(), Backend: p.opts.Backend, Plan: p.opts.Plan, Stats: p.opts.Stats}
-		if r := p.opts.FirstVarRange; r != nil {
-			opts.FirstVarRange = &lftj.Range{Lo: r.Lo, Hi: r.Hi}
+		opts := lftj.Options{GAO: p.opts.GAO, Plan: p.opts.Plan, Stats: p.opts.Stats}
+		if rng != nil {
+			opts.FirstVarRange = &lftj.Range{Lo: rng.Lo, Hi: rng.Hi}
 		}
 		return lftj.Engine{Opts: opts}
 	}
@@ -203,18 +202,13 @@ func (p *parallel) single() core.Engine {
 	if ms.GAO == nil {
 		ms.GAO = p.opts.GAO
 	}
-	if ms.Backend == "" {
-		ms.Backend = p.opts.Backend
-	}
-	if r := p.opts.FirstVarRange; r != nil {
-		ms.FirstVarRange = &minesweeper.Range{Lo: r.Lo, Hi: r.Hi}
+	if rng != nil {
+		ms.FirstVarRange = &minesweeper.Range{Lo: rng.Lo, Hi: rng.Hi}
 	}
 	ms.Plan = p.opts.Plan
 	ms.Collector = p.opts.Stats
 	return minesweeper.Engine{Opts: ms}
 }
-
-func (p *parallel) gao() []string { return p.opts.GAO }
 
 func (p *parallel) workers() int {
 	if p.opts.Workers > 0 {
@@ -239,7 +233,7 @@ func (p *parallel) granularity() int {
 // Enumerate implements core.Engine.
 func (p *parallel) Enumerate(ctx context.Context, q *query.Query, db *core.DB, emit func([]int64) bool) error {
 	p.opts.Stats.Add(core.Stats{Executions: 1})
-	return p.single().Enumerate(ctx, q, db, emit)
+	return p.engine(p.opts.FirstVarRange).Enumerate(ctx, q, db, emit)
 }
 
 // Count implements core.Engine.
@@ -248,9 +242,9 @@ func (p *parallel) Count(ctx context.Context, q *query.Query, db *core.DB) (int6
 	workers := p.workers()
 	// Under an external first-variable restriction the output space is
 	// already one partition of a larger fan-out; splitting it again would
-	// clobber the restriction (rangeCount overwrites FirstVarRange per job).
+	// clobber the restriction (each job carries its own range).
 	if workers <= 1 || p.opts.FirstVarRange != nil {
-		return p.single().Count(ctx, q, db)
+		return p.engine(p.opts.FirstVarRange).Count(ctx, q, db)
 	}
 	if p.opts.Plan == nil {
 		// The jobs and their cut points read one compiled binding; the
@@ -265,7 +259,7 @@ func (p *parallel) Count(ctx context.Context, q *query.Query, db *core.DB) (int6
 	}
 	jobs := splitJobs(p.opts.Plan, workers*p.granularity())
 	if len(jobs) <= 1 {
-		return p.single().Count(ctx, q, db)
+		return p.engine(nil).Count(ctx, q, db)
 	}
 	ctx, cancel := context.WithCancel(ctx)
 	defer cancel()
@@ -288,7 +282,7 @@ func (p *parallel) Count(ctx context.Context, q *query.Query, db *core.DB) (int6
 				}
 				// Each job gets a fresh engine: per-job CDS and memo state,
 				// released before the next job is claimed (§4.10).
-				n, err := p.rangeCount(ctx, q, db, job[0], job[1])
+				n, err := p.engine(&Range{Lo: job[0], Hi: job[1]}).Count(ctx, q, db)
 				if err != nil {
 					errCh <- err
 					cancel()
@@ -305,24 +299,6 @@ func (p *parallel) Count(ctx context.Context, q *query.Query, db *core.DB) (int6
 	default:
 	}
 	return total.Load(), nil
-}
-
-func (p *parallel) rangeCount(ctx context.Context, q *query.Query, db *core.DB, lo, hi int64) (int64, error) {
-	if p.opts.Algorithm == LFTJ {
-		e := lftj.Engine{Opts: lftj.Options{GAO: p.gao(), Backend: p.opts.Backend, FirstVarRange: &lftj.Range{Lo: lo, Hi: hi}, Plan: p.opts.Plan, Stats: p.opts.Stats}}
-		return e.Count(ctx, q, db)
-	}
-	ms := p.opts.MS
-	if ms.GAO == nil {
-		ms.GAO = p.opts.GAO
-	}
-	if ms.Backend == "" {
-		ms.Backend = p.opts.Backend
-	}
-	ms.FirstVarRange = &minesweeper.Range{Lo: lo, Hi: hi}
-	ms.Plan = p.opts.Plan
-	ms.Collector = p.opts.Stats
-	return minesweeper.Engine{Opts: ms}.Count(ctx, q, db)
 }
 
 // splitJobs partitions the first GAO variable's domain into up to n

@@ -17,20 +17,15 @@ import (
 // returned unplanned — plan is nil and each run re-derives whatever internal
 // state it needs. Counters for the compilation land on opts.Stats.
 //
-// The algorithm and backend names are validated eagerly here with typed
-// errors (ErrUnknownAlgorithm, core.ErrUnknownBackend) — an unknown name
-// never falls through to engine selection or index binding.
+// The algorithm name is validated eagerly here with a typed error
+// (ErrUnknownAlgorithm) — an unknown name never falls through to engine
+// selection or index binding.
 func Prepare(opts Options, q *query.Query, db *core.DB) (core.Engine, *core.Plan, error) {
 	alg, err := ParseAlgorithm(string(opts.Algorithm))
 	if err != nil {
 		return nil, nil, err
 	}
 	opts.Algorithm = alg
-	backend, err := core.ParseBackend(string(opts.Backend))
-	if err != nil {
-		return nil, nil, err
-	}
-	opts.Backend = backend
 	if q.Extended() && alg != LFTJ && alg != MS {
 		return nil, nil, fmt.Errorf("engine: query %q uses projection, predicates, or aggregates: %w (%q supports plain joins only; use lftj or ms)",
 			q.Name, ErrUnsupportedQuery, alg)
@@ -86,22 +81,16 @@ func ResolveGAO(opts Options, q *query.Query) ([]string, error) {
 }
 
 // CompilePlan resolves the GAO and binds the GAO-consistent indexes for a
-// plan-aware algorithm, consulting and populating the DB's plan cache. The
-// cache key is the query shape × algorithm × index backend × user-supplied
-// GAO (plus planner toggles that change compilation); entries are dropped
-// when DB.Add replaces a relation the plan reads.
+// plan-aware algorithm, consulting and populating the DB's plan cache. LFTJ
+// and Minesweeper bind CSR trie indexes; generic join binds the sorted rows,
+// because its Algorithm 1 narrows explicit row spans. The cache key is the
+// query shape × algorithm × user-supplied GAO (plus planner toggles that
+// change compilation); entries are dropped when DB.Add replaces a relation
+// the plan reads.
 func CompilePlan(opts Options, q *query.Query, db *core.DB) (*core.Plan, error) {
 	alg := opts.Algorithm
 	if alg == "" {
 		alg = LFTJ
-	}
-	backend, err := core.ParseBackend(string(opts.Backend))
-	if err != nil {
-		return nil, err
-	}
-	if alg == GenericJoin {
-		// Generic join executes over flat row spans; see genericjoin.
-		backend = core.BackendFlat
 	}
 	userGAO := opts.GAO
 	variant := ""
@@ -120,7 +109,7 @@ func CompilePlan(opts Options, q *query.Query, db *core.DB) (*core.Plan, error) 
 			userGAO = q.Vars()
 		}
 	}
-	key := core.PlanKey(string(alg), variant, backend, userGAO, q)
+	key := core.PlanKey(string(alg), variant, userGAO, q)
 	p, version, ok := db.CachedPlan(key)
 	if ok {
 		opts.Stats.Add(core.Stats{PlanCacheHits: 1})
@@ -150,7 +139,7 @@ func CompilePlan(opts Options, q *query.Query, db *core.DB) (*core.Plan, error) 
 		betaCyclic = !acyclic
 	}
 	opts.Stats.Add(core.Stats{GAODerivations: 1})
-	plan, err := core.NewPlan(q, db, string(alg), gao, inSkel, betaCyclic, backend, opts.Stats)
+	plan, err := core.NewPlan(q, db, string(alg), gao, inSkel, betaCyclic, alg == GenericJoin, opts.Stats)
 	if err != nil {
 		return nil, err
 	}

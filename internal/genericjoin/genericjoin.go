@@ -62,17 +62,12 @@ func (e Engine) Enumerate(ctx context.Context, q *query.Query, db *core.DB, emit
 		if len(gao) != q.NumVars() {
 			return fmt.Errorf("genericjoin: GAO %v does not cover the %d query variables: %w", gao, q.NumVars(), core.ErrUnboundVar)
 		}
-		// Generic join narrows explicit row spans over the flat rows, so it
-		// always binds the flat backend regardless of plan-level selection.
+		// Generic join narrows explicit row spans, so it binds the sorted
+		// rows rather than the trie indexes.
 		var err error
-		atoms, err = core.BindAtoms(q, db, gao, core.BackendFlat)
+		atoms, err = core.BindRows(q, db, gao)
 		if err != nil {
 			return err
-		}
-		for i, a := range atoms {
-			if a.Rel.Arity() != len(q.Atoms[i].Vars) {
-				return fmt.Errorf("genericjoin: atom %s arity mismatch with relation %s", q.Atoms[i], a.Rel)
-			}
 		}
 	}
 	ex := &exec{

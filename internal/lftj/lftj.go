@@ -25,9 +25,6 @@ type Options struct {
 	// GAO overrides the variable order; empty means the query's
 	// first-appearance order.
 	GAO []string
-	// Backend selects the index backend for the unplanned path (empty means
-	// core.DefaultBackend); a compiled Plan carries its own backend.
-	Backend core.Backend
 	// FirstVarRange restricts the first GAO variable for parallel jobs.
 	FirstVarRange *Range
 	// Plan, when set, is a compiled plan for the query: validation, GAO
@@ -75,14 +72,9 @@ func (e Engine) Enumerate(ctx context.Context, q *query.Query, db *core.DB, emit
 			return fmt.Errorf("lftj: GAO %v does not cover the %d query variables: %w", gao, q.NumVars(), core.ErrUnboundVar)
 		}
 		var err error
-		atoms, err = core.BindAtoms(q, db, gao, e.Opts.Backend)
+		atoms, err = core.BindAtoms(q, db, gao)
 		if err != nil {
 			return err
-		}
-		for i, a := range atoms {
-			if a.Index.Arity() != len(q.Atoms[i].Vars) {
-				return fmt.Errorf("lftj: atom %s arity mismatch with its %d-ary index", q.Atoms[i], a.Index.Arity())
-			}
 		}
 		push, err = core.CompilePushdown(q, gao)
 		if err != nil {

@@ -22,9 +22,6 @@ type Options struct {
 	// GAO overrides the automatically selected global attribute order
 	// (Table 4 runs Minesweeper under explicit orders).
 	GAO []string
-	// Backend selects the index backend for the unplanned path (empty means
-	// core.DefaultBackend); a compiled Plan carries its own backend.
-	Backend core.Backend
 	// DisableMemo turns off Idea 4 (avoid repeated seekGap calls).
 	DisableMemo bool
 	// DisableComplete turns off Idea 6 (complete nodes).
@@ -119,7 +116,7 @@ func (e Engine) run(ctx context.Context, q *query.Query, db *core.DB, emit func(
 		if err != nil {
 			return 0, err
 		}
-		atoms, err = core.BindAtoms(q, db, gao, e.Opts.Backend)
+		atoms, err = core.BindAtoms(q, db, gao)
 		if err != nil {
 			return 0, err
 		}
@@ -129,13 +126,8 @@ func (e Engine) run(ctx context.Context, q *query.Query, db *core.DB, emit func(
 		}
 	}
 	maxArity := 0
-	for i, a := range atoms {
-		if a.Index.Arity() != len(q.Atoms[i].Vars) {
-			return 0, fmt.Errorf("minesweeper: atom %s arity mismatch with its %d-ary index", q.Atoms[i], a.Index.Arity())
-		}
-		if a.Index.Arity() > maxArity {
-			maxArity = a.Index.Arity()
-		}
+	for _, a := range atoms {
+		maxArity = max(maxArity, a.Index.Arity())
 	}
 	// Pin overlay-backed indexes to one snapshot for this whole run, so a
 	// concurrent DB.ApplyDelta can never mix two index states between

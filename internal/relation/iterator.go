@@ -5,7 +5,7 @@ package relation
 // first child of the current node, Up pops back, Next and SeekGE move within
 // the current level in increasing key order (no-ops at the end of a level;
 // callers check AtEnd). It mirrors the engine-facing core.TrieCursor
-// interface so backends can hand cursors up without wrapping.
+// interface so indexes can hand cursors up without wrapping.
 type Cursor interface {
 	Open()
 	Up()

@@ -15,11 +15,11 @@ func OverlayCompactions() int64 { return compactions.Load() }
 // base) and dels (base tuples that have been deleted) — materialized as
 // tiny CSR tries of their own. Cursors and gap probes merge the three at
 // trie-cursor level, so an update batch costs O(|log|) instead of the
-// O(arity · n) full trie rebuild the plain CSR backend would need; when the
+// O(arity · n) full trie rebuild a plain CSR trie would need; when the
 // logs grow past a fraction of the base, Apply compacts them into a fresh
-// base trie and starts over. This is the structure that lets incremental
-// views (internal/incremental) keep their delta-query atoms on the fast CSR
-// backend instead of pinning the flat reference backend.
+// base trie and starts over. This is the structure that keeps compiled
+// plans and incremental views (internal/incremental) on the CSR index
+// across writes.
 //
 // Invariants (established by the caller, checked against in Apply):
 // adds ∩ base = ∅, dels ⊆ base, adds ∩ dels = ∅. An Overlay is immutable —
@@ -398,7 +398,7 @@ func (c *OverlayCursor) SeekGE(v int64) {
 // the three tries level by level, treating a base node as present only
 // while its subtree is not fully deleted, and report gap endpoints as the
 // tightest visible neighbours across the base and adds sides. Semantics
-// match the flat reference exactly (the overlay differential tests pin
+// match Relation.ProbeGap exactly (the overlay differential tests pin
 // this).
 func (o *Overlay) ProbeGap(point []int64) (Gap, bool) {
 	if o.pristine() {

@@ -23,13 +23,13 @@ import (
 //
 // A Prepared handle is safe for concurrent use: the plan is immutable, every
 // execution builds its own iterator and memo state, and the stats collector
-// is synchronized. On the default CSR backend, incremental writes routed
-// through Store.Apply advance the handle's indexes in place, so the handle
-// keeps serving current data; handles on the flat backend hold immutable
-// indexes and keep serving their Prepare-time state after writes. Bulk replacements (Store.Load, SetSelectivity, SetSamples) swap
-// whole relations and never re-point existing handles on any backend. In
-// both cases, Prepare again to pick up the new design — the underlying plan
-// cache makes re-preparing an unchanged shape cheap.
+// is synchronized. Incremental writes routed through Store.Apply advance the
+// CSR indexes an lftj or ms handle binds in place, so the handle keeps
+// serving current data (a genericjoin handle binds the immutable sorted rows
+// and keeps its Prepare-time state). Bulk replacements (Store.Load,
+// SetSelectivity, SetSamples) swap whole relations and never re-point
+// existing handles; Prepare again to pick up the new relations — the
+// underlying plan cache makes re-preparing an unchanged shape cheap.
 type Prepared struct {
 	s       *Store
 	q       *Query
@@ -48,7 +48,7 @@ type Prepared struct {
 // prepare compiles the query against a store (schema checks already done by
 // the callers). For the plan-aware algorithms (lftj, ms, genericjoin) the
 // compiled plan is cached on the store's database — keyed on query shape ×
-// algorithm × backend × GAO and invalidated when a relation it reads is
+// algorithm × GAO and invalidated when a relation it reads is
 // replaced — so preparing the same shape twice reuses the first compilation.
 func prepare(s *Store, q *Query, opts Options) (*Prepared, error) {
 	if err := validateShard(opts); err != nil {
@@ -308,9 +308,6 @@ type Explanation struct {
 	Planned bool
 	// GAO is the resolved global attribute order (nil when not Planned).
 	GAO []string
-	// Backend is the index backend every atom is bound under (BackendFlat
-	// or BackendCSR; empty when not Planned).
-	Backend Backend
 	// BetaCyclic reports whether the query needed Minesweeper's skeleton
 	// split (and drives the §4.10 parallel-granularity default).
 	BetaCyclic bool
@@ -349,9 +346,6 @@ func (e Explanation) String() string {
 			b.WriteString("  [beta-cyclic]")
 		}
 		b.WriteString("\n")
-		if e.Backend != "" {
-			fmt.Fprintf(&b, "backend %s\n", e.Backend)
-		}
 		for _, a := range e.Atoms {
 			skel := ""
 			if !a.InSkeleton {
@@ -395,7 +389,6 @@ func (p *Prepared) Explain() Explanation {
 	}
 	e.Planned = true
 	e.GAO = append([]string(nil), plan.GAO...)
-	e.Backend = plan.Backend
 	e.BetaCyclic = plan.BetaCyclic
 	for i, a := range plan.Atoms {
 		cols := make([]string, len(a.VarPos))
@@ -405,7 +398,7 @@ func (p *Prepared) Explain() Explanation {
 		ap := AtomPlan{
 			Atom:       p.q.Atoms[i].String(),
 			Index:      fmt.Sprintf("%s(%s)", p.q.Atoms[i].Rel, strings.Join(cols, ", ")),
-			Rows:       a.Index.Len(),
+			Rows:       a.Len(),
 			InSkeleton: plan.InSkel == nil || plan.InSkel[i],
 		}
 		e.Atoms = append(e.Atoms, ap)

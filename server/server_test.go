@@ -76,8 +76,8 @@ func collect(ctx context.Context, enumerate func(context.Context, func([]int64) 
 
 // TestRemoteDifferential is the acceptance differential: a remote client
 // must produce byte-identical results to the local Store across the full
-// query corpus × both trie-driven engines × every index backend — same
-// counts, same rows, same order.
+// query corpus × both trie-driven engines — same counts, same rows, same
+// order. The subtest leaf names the index the engines bind.
 func TestRemoteDifferential(t *testing.T) {
 	ctx := context.Background()
 	g := repro.GenerateGraph(repro.HolmeKim, 150, 520, 3)
@@ -86,50 +86,48 @@ func TestRemoteDifferential(t *testing.T) {
 	remote := dial(t, serve(t, server.NewSingle(st)))
 	for _, q := range corpus() {
 		for _, alg := range []repro.Algorithm{repro.LFTJ, repro.MS} {
-			for _, backend := range []repro.Backend{repro.BackendFlat, repro.BackendCSR} {
-				t.Run(fmt.Sprintf("%s/%s/%s", q.Name, alg, backend), func(t *testing.T) {
-					opts := repro.Options{Algorithm: alg, Workers: 1, Backend: backend}
-					lp, err := st.Prepare(q, opts)
-					if err != nil {
-						t.Fatalf("local prepare: %v", err)
+			t.Run(fmt.Sprintf("%s/%s/csr", q.Name, alg), func(t *testing.T) {
+				opts := repro.Options{Algorithm: alg, Workers: 1}
+				lp, err := st.Prepare(q, opts)
+				if err != nil {
+					t.Fatalf("local prepare: %v", err)
+				}
+				rp, err := remote.Prepare(q, opts)
+				if err != nil {
+					t.Fatalf("remote prepare: %v", err)
+				}
+				defer rp.Close()
+				if lp.Algorithm() != rp.Algorithm() {
+					t.Fatalf("algorithm: local %q, remote %q", lp.Algorithm(), rp.Algorithm())
+				}
+				ln, err := lp.Count(ctx)
+				if err != nil {
+					t.Fatalf("local count: %v", err)
+				}
+				rn, err := rp.Count(ctx)
+				if err != nil {
+					t.Fatalf("remote count: %v", err)
+				}
+				if ln != rn {
+					t.Fatalf("count: local %d, remote %d", ln, rn)
+				}
+				lrows, err := collect(ctx, lp.Enumerate)
+				if err != nil {
+					t.Fatalf("local enumerate: %v", err)
+				}
+				rrows, err := collect(ctx, rp.Enumerate)
+				if err != nil {
+					t.Fatalf("remote enumerate: %v", err)
+				}
+				if len(lrows) != len(rrows) {
+					t.Fatalf("rows: local %d, remote %d", len(lrows), len(rrows))
+				}
+				for i := range lrows {
+					if relation.CompareTuples(lrows[i], rrows[i]) != 0 {
+						t.Fatalf("row %d: local %v, remote %v (order must match)", i, lrows[i], rrows[i])
 					}
-					rp, err := remote.Prepare(q, opts)
-					if err != nil {
-						t.Fatalf("remote prepare: %v", err)
-					}
-					defer rp.Close()
-					if lp.Algorithm() != rp.Algorithm() {
-						t.Fatalf("algorithm: local %q, remote %q", lp.Algorithm(), rp.Algorithm())
-					}
-					ln, err := lp.Count(ctx)
-					if err != nil {
-						t.Fatalf("local count: %v", err)
-					}
-					rn, err := rp.Count(ctx)
-					if err != nil {
-						t.Fatalf("remote count: %v", err)
-					}
-					if ln != rn {
-						t.Fatalf("count: local %d, remote %d", ln, rn)
-					}
-					lrows, err := collect(ctx, lp.Enumerate)
-					if err != nil {
-						t.Fatalf("local enumerate: %v", err)
-					}
-					rrows, err := collect(ctx, rp.Enumerate)
-					if err != nil {
-						t.Fatalf("remote enumerate: %v", err)
-					}
-					if len(lrows) != len(rrows) {
-						t.Fatalf("rows: local %d, remote %d", len(lrows), len(rrows))
-					}
-					for i := range lrows {
-						if relation.CompareTuples(lrows[i], rrows[i]) != 0 {
-							t.Fatalf("row %d: local %v, remote %v (order must match)", i, lrows[i], rrows[i])
-						}
-					}
-				})
-			}
+				}
+			})
 		}
 	}
 }
@@ -147,7 +145,7 @@ func TestRemoteTxnUnderChurn(t *testing.T) {
 	remote := dial(t, serve(t, server.NewSingle(st)))
 
 	queries := []*repro.Query{query.Clique(3), query.Path(3), query.Cycle(4)}
-	opts := repro.Options{Workers: 1} // default engine, default (CSR) backend
+	opts := repro.Options{Workers: 1} // default engine
 	var locals []*repro.Prepared
 	var remotes []repro.PreparedQuery
 	baseline := make([]int64, len(queries))

@@ -150,7 +150,7 @@ func (s *Store) Arity(name string) (int, error) {
 // and carry values in [0, relation.PosInf)). Loading rebuilds the relation's
 // physical indexes and invalidates compiled plans that read it — it is the
 // bulk path; route incremental changes through Apply, which keeps prepared
-// plans on the default backend valid.
+// lftj and ms plans valid.
 func (s *Store) Load(name string, tuples [][]int64) error {
 	arity, err := s.Arity(name)
 	if err != nil {
@@ -189,11 +189,11 @@ func (s *Store) Load(name string, tuples [][]int64) error {
 // both sides of one batch resolves as delete-after-insert — an absent tuple
 // stays absent, a present one is deleted. The batch routes through the
 // database's delta path (core.DB.ApplyDelta), which folds it into the cached
-// CSR indexes' delta overlays — compiled plans on the CSR backend (the
-// default) stay valid and keep serving current data, which is what makes
-// prepare-once / execute-repeatedly hold under a live write stream. Plans on
-// the flat backend hold immutable indexes and keep serving their
-// Prepare-time state; re-Prepare those after writes.
+// CSR indexes' delta overlays — compiled lftj and ms plans stay valid and
+// keep serving current data, which is what makes prepare-once /
+// execute-repeatedly hold under a live write stream. Generic join binds the
+// immutable sorted rows: its handles keep their Prepare-time state, so
+// re-Prepare those after writes.
 func (s *Store) Apply(name string, inserts, deletes [][]int64) error {
 	arity, err := s.Arity(name)
 	if err != nil {
@@ -256,11 +256,11 @@ func (s *Store) ParseQuery(name, src string) (*Query, error) {
 }
 
 // Prepare compiles the query against this store for the configured engine:
-// schema check, algorithm/backend validation (ErrUnknownAlgorithm,
-// ErrUnknownBackend), GAO resolution, and GAO-consistent index binding all
-// happen here — every subsequent Count/Enumerate/Rows call on the returned
-// handle is pure execution. Compiled plans are cached on the store's
-// database, keyed on query shape × algorithm × backend × GAO.
+// schema check, algorithm validation (ErrUnknownAlgorithm), GAO
+// resolution, and GAO-consistent index binding all happen here — every
+// subsequent Count/Enumerate/Rows call on the returned handle is pure
+// execution. Compiled plans are cached on the store's database, keyed on
+// query shape × algorithm × GAO.
 func (s *Store) Prepare(q *Query, opts Options) (*Prepared, error) {
 	if err := s.CheckQuery(q); err != nil {
 		return nil, err

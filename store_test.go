@@ -47,7 +47,7 @@ func storeFromGraph(t *testing.T, g *Graph) *Store {
 // TestStoreGraphDifferential builds the benchmark schema both ways — NewGraph
 // (the canned schema) and explicit Store definitions loaded with the same
 // tuples — and requires identical counts across the full query corpus ×
-// both trie-driven engines × every index backend.
+// both trie-driven engines.
 func TestStoreGraphDifferential(t *testing.T) {
 	ctx := context.Background()
 	g := GenerateGraph(HolmeKim, 250, 900, 3)
@@ -55,19 +55,17 @@ func TestStoreGraphDifferential(t *testing.T) {
 	s := storeFromGraph(t, g)
 	for _, q := range corpusQueries() {
 		for _, alg := range []Algorithm{LFTJ, MS} {
-			for _, backend := range backendMatrix {
-				opts := Options{Algorithm: alg, Workers: 1, Backend: backend}
-				want, err := Count(ctx, g, q, opts)
-				if err != nil {
-					t.Fatalf("%s/%s/%s graph: %v", q.Name, alg, backend, err)
-				}
-				got, err := s.Count(ctx, q, opts)
-				if err != nil {
-					t.Fatalf("%s/%s/%s store: %v", q.Name, alg, backend, err)
-				}
-				if got != want {
-					t.Errorf("%s/%s/%s: store = %d, graph = %d", q.Name, alg, backend, got, want)
-				}
+			opts := Options{Algorithm: alg, Workers: 1}
+			want, err := Count(ctx, g, q, opts)
+			if err != nil {
+				t.Fatalf("%s/%s graph: %v", q.Name, alg, err)
+			}
+			got, err := s.Count(ctx, q, opts)
+			if err != nil {
+				t.Fatalf("%s/%s store: %v", q.Name, alg, err)
+			}
+			if got != want {
+				t.Errorf("%s/%s: store = %d, graph = %d", q.Name, alg, got, want)
 			}
 		}
 	}
@@ -467,7 +465,7 @@ func TestStoreHeadOrderedRows(t *testing.T) {
 }
 
 // TestStoreApplyKeepsPlansValid: incremental writes through Apply advance a
-// live Prepared handle on the default CSR backend without re-preparing.
+// live Prepared handle without re-preparing.
 func TestStoreApplyKeepsPlansValid(t *testing.T) {
 	ctx := context.Background()
 	s := NewStore()
@@ -506,22 +504,12 @@ func TestStoreApplyKeepsPlansValid(t *testing.T) {
 	}
 }
 
-// TestPrepareTypedValidation: unknown algorithm and backend names fail
-// eagerly at Prepare with typed errors, for stores and graphs alike.
+// TestPrepareTypedValidation: unknown algorithm names fail eagerly at
+// Prepare with typed errors, for stores and graphs alike.
 func TestPrepareTypedValidation(t *testing.T) {
 	g := GenerateGraph(ErdosRenyi, 50, 100, 1)
 	if _, err := g.Prepare(Triangles(), Options{Algorithm: "nope"}); !errors.Is(err, ErrUnknownAlgorithm) {
 		t.Errorf("unknown algorithm: %v, want ErrUnknownAlgorithm", err)
-	}
-	// "csr-sharded" names a backend that no longer exists.
-	for _, backend := range []Backend{"btree", "csr-sharded"} {
-		if _, err := g.Prepare(Triangles(), Options{Backend: backend}); !errors.Is(err, ErrUnknownBackend) {
-			t.Errorf("unknown backend %q: %v, want ErrUnknownBackend", backend, err)
-		}
-	}
-	// Unknown names on a non-plan-aware engine still fail eagerly.
-	if _, err := g.Prepare(Triangles(), Options{Algorithm: GraphLab, Backend: "btree"}); !errors.Is(err, ErrUnknownBackend) {
-		t.Errorf("unknown backend on graphlab: %v, want ErrUnknownBackend", err)
 	}
 	for _, alg := range Algorithms() {
 		q := Triangles()

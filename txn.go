@@ -38,11 +38,9 @@ var ErrForeignPrepared = errors.New("prepared handle belongs to a different stor
 // inside the transaction instead (self-consistent from then on, but that
 // first pin may observe writes that landed after ReadTxn).
 //
-// The pin applies to the in-place-updatable indexes (the CSR backend's
-// delta overlays — the default). Plans on the flat backend hold immutable
-// index objects and are frozen at Prepare time rather than
-// transaction-begin time: still internally consistent, but re-Prepare after
-// bulk loads to advance them. A Txn is safe for concurrent use and needs no
+// The pin applies to the CSR indexes' delta overlays, which lftj and ms
+// plans bind; generic join's sorted-row bindings are immutable and frozen
+// at Prepare time instead. A Txn is safe for concurrent use and needs no
 // explicit close; dropping it releases the pinned snapshot to the garbage
 // collector.
 type Txn struct {
