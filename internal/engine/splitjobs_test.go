@@ -85,65 +85,68 @@ func bruteTriangles(t *testing.T, db *core.DB) int64 {
 // sorted distinct first-attribute values of the bound CSR index cut at
 // values[i·d/n], on a pristine relation and after overlay inserts that
 // extend the first attribute's domain past both ends; the partitioned Count
-// matches the sequential one and a brute-force oracle.
+// matches the sequential one and a brute-force oracle. The subtest is named
+// for the index it cuts.
 func TestSplitJobsFromIndex(t *testing.T) {
 	ctx := context.Background()
 	q := query.Clique(3)
 	const nJobs = 4 * 8
-	rng := rand.New(rand.NewSource(8))
-	var edges [][2]int64
-	for _, e := range testutil.RandomGraph(rng, 60, 300) {
-		edges = append(edges, [2]int64{e[0] + 100, e[1] + 100})
-	}
-	db := testutil.GraphDB(edges, nil)
+	t.Run("csr", func(t *testing.T) {
+		rng := rand.New(rand.NewSource(8))
+		var edges [][2]int64
+		for _, e := range testutil.RandomGraph(rng, 60, 300) {
+			edges = append(edges, [2]int64{e[0] + 100, e[1] + 100})
+		}
+		db := testutil.GraphDB(edges, nil)
 
-	check := func(stage string) {
-		plan, err := CompilePlan(Options{Algorithm: LFTJ}, q, db)
-		if err != nil {
-			t.Fatal(err)
-		}
-		fwd, err := db.Relation(query.Fwd)
-		if err != nil {
-			t.Fatal(err)
-		}
-		jobs := splitJobs(plan, nJobs)
-		checkJobRanges(t, jobs)
-		if want := wantCuts(fwd, nJobs); fmt.Sprint(jobs) != fmt.Sprint(want) {
-			t.Errorf("%s: jobs %v, want %v", stage, jobs, want)
-		}
-		oracle := bruteTriangles(t, db)
-		for _, alg := range []Algorithm{LFTJ, MS} {
-			var counts [2]int64
-			for i, workers := range []int{1, 4} {
-				e, err := New(Options{Algorithm: alg, Workers: workers, Granularity: 8})
-				if err != nil {
-					t.Fatal(err)
+		check := func(stage string) {
+			plan, err := CompilePlan(Options{Algorithm: LFTJ}, q, db)
+			if err != nil {
+				t.Fatal(err)
+			}
+			fwd, err := db.Relation(query.Fwd)
+			if err != nil {
+				t.Fatal(err)
+			}
+			jobs := splitJobs(plan, nJobs)
+			checkJobRanges(t, jobs)
+			if want := wantCuts(fwd, nJobs); fmt.Sprint(jobs) != fmt.Sprint(want) {
+				t.Errorf("%s: jobs %v, want %v", stage, jobs, want)
+			}
+			oracle := bruteTriangles(t, db)
+			for _, alg := range []Algorithm{LFTJ, MS} {
+				var counts [2]int64
+				for i, workers := range []int{1, 4} {
+					e, err := New(Options{Algorithm: alg, Workers: workers, Granularity: 8})
+					if err != nil {
+						t.Fatal(err)
+					}
+					if counts[i], err = e.Count(ctx, q, db); err != nil {
+						t.Fatalf("%s %s workers=%d: %v", stage, alg, workers, err)
+					}
 				}
-				if counts[i], err = e.Count(ctx, q, db); err != nil {
-					t.Fatalf("%s %s workers=%d: %v", stage, alg, workers, err)
+				if counts[0] != oracle || counts[1] != oracle {
+					t.Errorf("%s %s: workers=1 %d, workers=4 %d, oracle %d", stage, alg, counts[0], counts[1], oracle)
 				}
 			}
-			if counts[0] != oracle || counts[1] != oracle {
-				t.Errorf("%s %s: workers=1 %d, workers=4 %d, oracle %d", stage, alg, counts[0], counts[1], oracle)
-			}
 		}
-	}
-	check("pristine")
+		check("pristine")
 
-	// Triangles entirely below the base minimum (100) and above the
-	// base maximum (159), plus edges tying each into the base.
-	var fwdIns, edgeIns [][]int64
-	for _, e := range [][2]int64{{1, 2}, {1, 3}, {2, 3}, {3, 100}, {900, 901}, {900, 902}, {901, 902}, {120, 900}} {
-		fwdIns = append(fwdIns, []int64{e[0], e[1]})
-		edgeIns = append(edgeIns, []int64{e[0], e[1]}, []int64{e[1], e[0]})
-	}
-	if err := db.ApplyDeltas([]core.DeltaBatch{
-		{Name: query.Fwd, Inserts: fwdIns},
-		{Name: query.Edge, Inserts: edgeIns},
-	}); err != nil {
-		t.Fatal(err)
-	}
-	check("overlay")
+		// Triangles entirely below the base minimum (100) and above the
+		// base maximum (159), plus edges tying each into the base.
+		var fwdIns, edgeIns [][]int64
+		for _, e := range [][2]int64{{1, 2}, {1, 3}, {2, 3}, {3, 100}, {900, 901}, {900, 902}, {901, 902}, {120, 900}} {
+			fwdIns = append(fwdIns, []int64{e[0], e[1]})
+			edgeIns = append(edgeIns, []int64{e[0], e[1]}, []int64{e[1], e[0]})
+		}
+		if err := db.ApplyDeltas([]core.DeltaBatch{
+			{Name: query.Fwd, Inserts: fwdIns},
+			{Name: query.Edge, Inserts: edgeIns},
+		}); err != nil {
+			t.Fatal(err)
+		}
+		check("overlay")
+	})
 }
 
 // TestParallelCountAllocBytesDoNotScale pins the §4.10 job split as free
