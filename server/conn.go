@@ -71,6 +71,9 @@ type conn struct {
 	// flow-control state (for Credit frames).
 	requests map[uint64]context.CancelFunc
 	streams  map[uint64]*stream
+	// admitted holds the ids of requests that own an admission slot; the
+	// slot is freed just before the request's final frame is written.
+	admitted map[uint64]bool
 	// leaseToks maps transaction ids to their lease-tracker tokens so the
 	// lease-age gauges drop a lease at End or connection teardown.
 	leaseToks map[uint64]uint64
@@ -88,6 +91,7 @@ func newConn(srv *Server, nc net.Conn) *conn {
 		txns:      make(map[uint64]repro.QueryTxn),
 		requests:  make(map[uint64]context.CancelFunc),
 		streams:   make(map[uint64]*stream),
+		admitted:  make(map[uint64]bool),
 		leaseToks: make(map[uint64]uint64),
 	}
 }
@@ -99,14 +103,31 @@ func (c *conn) close() {
 	c.nc.Close()
 }
 
-// send writes one frame under the write lock.
+// send writes one frame under the write lock. Every frame but a row chunk
+// ends its request, so the request's admission slot is freed first: a client
+// that sends its next request on receiving this one's answer never finds
+// the slot still held.
 func (c *conn) send(typ byte, reqID uint64, body []byte) error {
+	if typ != wire.TRowChunk {
+		c.releaseSlot(reqID)
+	}
 	c.wmu.Lock()
 	defer c.wmu.Unlock()
 	if err := wire.WriteFrame(c.bw, typ, reqID, body); err != nil {
 		return err
 	}
 	return c.bw.Flush()
+}
+
+// releaseSlot frees reqID's admission slot if it still holds one.
+func (c *conn) releaseSlot(reqID uint64) {
+	c.mu.Lock()
+	held := c.admitted[reqID]
+	delete(c.admitted, reqID)
+	c.mu.Unlock()
+	if held {
+		c.adm.release()
+	}
 }
 
 func (c *conn) sendOK(reqID uint64) error { return c.send(wire.TOK, reqID, nil) }
@@ -290,7 +311,10 @@ func (c *conn) dispatch(ctx context.Context, typ byte, reqID uint64, body []byte
 		c.sendErr(reqID, err)
 		return
 	}
-	defer c.adm.release()
+	c.mu.Lock()
+	c.admitted[reqID] = true
+	c.mu.Unlock()
+	defer c.releaseSlot(reqID)
 	c.sm.admitted(typ)
 	// Protocol v4: every dispatched request leads with a trace context. A
 	// client-traced request opens a root span parented at the client's span;
@@ -308,6 +332,10 @@ func (c *conn) dispatch(ctx context.Context, typ byte, reqID uint64, body []byte
 	switch {
 	case traceID != 0:
 		tr = trace.New(trace.ID(traceID))
+		if typ != wire.TTrace {
+			// A fetch of this trace waits until the request is recorded.
+			defer c.srv.traces.inFlight(tr.ID())()
+		}
 	case c.srv.traces.sampler.Sample():
 		tr = trace.New(trace.NewID())
 	}

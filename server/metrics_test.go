@@ -19,9 +19,7 @@ import (
 // parkStreams starts n Rows streams that each consume one row and then block
 // until release closes — deterministically occupying n server-side in-flight
 // slots (the producer stalls on credit with a 1-row/1-credit window). It
-// returns once all n streams are parked. The server frees a request's slot
-// just after sending its response, so a stream opened right after the
-// Prepare can be refused; it retries (≤5 s) until admitted.
+// returns once all n streams are parked.
 func parkStreams(t *testing.T, ctx context.Context, p repro.PreparedQuery, n int, release <-chan struct{}) *sync.WaitGroup {
 	t.Helper()
 	parked := make(chan struct{}, n)
@@ -30,21 +28,13 @@ func parkStreams(t *testing.T, ctx context.Context, p repro.PreparedQuery, n int
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			deadline := time.Now().Add(5 * time.Second)
-			for {
-				err := p.Enumerate(ctx, func([]int64) bool {
-					parked <- struct{}{}
-					<-release
-					return false
-				})
-				if errors.Is(err, client.ErrOverloaded) && time.Now().Before(deadline) {
-					time.Sleep(10 * time.Millisecond)
-					continue
-				}
-				if err != nil {
-					t.Errorf("parked Enumerate: %v", err)
-				}
-				return
+			err := p.Enumerate(ctx, func([]int64) bool {
+				parked <- struct{}{}
+				<-release
+				return false
+			})
+			if err != nil {
+				t.Errorf("parked Enumerate: %v", err)
 			}
 		}()
 	}

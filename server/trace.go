@@ -37,6 +37,12 @@ type traceSink struct {
 	slowQuery time.Duration
 	sampler   *trace.Sampler
 
+	// running counts the client-traced requests in flight per trace id; a
+	// TTrace fetch answers once its id has none, so it sees every span of
+	// the requests whose responses the client already holds.
+	runMu   sync.Mutex
+	running map[trace.ID]int
+
 	mu      sync.Mutex
 	slowLog io.Writer
 	logf    func(string, ...any)
@@ -45,6 +51,7 @@ type traceSink struct {
 func newTraceSink(cfg TraceConfig, logf func(string, ...any)) *traceSink {
 	ts := &traceSink{
 		buf:       trace.NewBuffer(cfg.BufferTraces),
+		running:   make(map[trace.ID]int),
 		slowQuery: cfg.SlowQuery,
 		slowLog:   cfg.SlowQueryLog,
 		logf:      logf,
@@ -111,6 +118,31 @@ func (ts *traceSink) observe(store, typ string, tr *trace.Trace, dur time.Durati
 	ts.logf("slow query: %s", b)
 }
 
+// inFlight marks one request carrying trace id as running until the
+// returned func is called, after the request's spans are in the buffer.
+func (ts *traceSink) inFlight(id trace.ID) (done func()) {
+	ts.runMu.Lock()
+	ts.running[id]++
+	ts.runMu.Unlock()
+	return func() {
+		ts.runMu.Lock()
+		if ts.running[id]--; ts.running[id] == 0 {
+			delete(ts.running, id)
+		}
+		ts.runMu.Unlock()
+	}
+}
+
+// settled reports whether id has spans in the buffer and no request carrying
+// it is still in flight.
+func (ts *traceSink) settled(id trace.ID) ([]trace.SpanRecord, bool) {
+	ts.runMu.Lock()
+	busy := ts.running[id] > 0
+	ts.runMu.Unlock()
+	spans, ok := ts.buf.Get(id)
+	return spans, ok && !busy
+}
+
 // fingerprint extracts the plan fingerprint the handlers attach to their
 // spans: the query's source form plus the engine it compiled to.
 func fingerprint(spans []trace.SpanRecord) string {
@@ -126,10 +158,11 @@ func fingerprint(spans []trace.SpanRecord) string {
 }
 
 // traceFetchWait bounds how long a by-id TTrace fetch waits for the trace to
-// land in the buffer. A request's trace is recorded just *after* its
-// response frame is sent, so a client that queries the moment its response
-// arrives can race the record by microseconds; polling briefly makes the
-// fetch deterministic without ordering the hot path around diagnostics.
+// settle. A request's trace is recorded just *after* its response frame is
+// sent, so a client that queries the moment its response arrives can race
+// the record by microseconds; waiting until no request carrying the id is in
+// flight makes the fetch complete without ordering the hot path around
+// diagnostics.
 const traceFetchWait = 2 * time.Second
 
 // handleTrace answers a TTrace fetch: by trace id (merging spans from
@@ -147,14 +180,14 @@ func (c *conn) handleTrace(ctx context.Context, reqID uint64, body []byte) error
 		wire.EncodeTraces(&e, c.srv.traces.buf.Last(n))
 		return c.send(wire.TTraceOK, reqID, e.Bytes())
 	}
-	spans, ok := c.srv.traces.buf.Get(trace.ID(id))
+	spans, ok := c.srv.traces.settled(trace.ID(id))
 	for deadline := time.Now().Add(traceFetchWait); !ok && time.Now().Before(deadline); {
 		select {
 		case <-ctx.Done():
 			return ctx.Err()
 		case <-time.After(2 * time.Millisecond):
 		}
-		spans, ok = c.srv.traces.buf.Get(trace.ID(id))
+		spans, ok = c.srv.traces.settled(trace.ID(id))
 	}
 	if ds, hasDownstream := c.store.(interface {
 		TraceSpans(context.Context, uint64) ([]trace.SpanRecord, error)

@@ -158,34 +158,18 @@ func TestClientTraceFetch(t *testing.T) {
 	}
 	root.End()
 
-	// The server retains a request's spans after sending its response, so
-	// the streaming request's spans may land just after the client sees the
-	// end of the stream: fetch until they are all present (≤5 s).
-	wantStages := []string{"server.count", "engine.count", "server.rows", "rows.stream", "engine.enumerate"}
-	var spans []trace.SpanRecord
-	stages := map[string]int{}
-	for deadline := time.Now().Add(5 * time.Second); ; time.Sleep(10 * time.Millisecond) {
-		if spans, err = remote.Trace(ctx, uint64(tr.ID())); err != nil {
-			t.Fatal(err)
-		}
-		stages = map[string]int{}
-		for _, s := range spans {
-			stages[s.Stage]++
-		}
-		missing := false
-		for _, want := range wantStages {
-			missing = missing || stages[want] == 0
-		}
-		if !missing || time.Now().After(deadline) {
-			break
-		}
+	spans, err := remote.Trace(ctx, uint64(tr.ID()))
+	if err != nil {
+		t.Fatal(err)
 	}
+	stages := map[string]int{}
 	for _, s := range spans {
 		if s.Trace != tr.ID() {
 			t.Errorf("span %q has trace %d, want %d", s.Stage, s.Trace, tr.ID())
 		}
+		stages[s.Stage]++
 	}
-	for _, want := range wantStages {
+	for _, want := range []string{"server.count", "engine.count", "server.rows", "rows.stream", "engine.enumerate"} {
 		if stages[want] == 0 {
 			t.Errorf("fetched trace missing stage %q (got %v)", want, stages)
 		}
