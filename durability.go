@@ -185,8 +185,14 @@ func (s *Store) maybeCheckpoint() {
 		return
 	}
 	go func() {
-		defer s.ckptBusy.Store(false)
-		s.Checkpoint()
+		err := s.Checkpoint()
+		s.ckptBusy.Store(false)
+		if err == nil {
+			// Writes that landed during this checkpoint found it busy and
+			// started none; if they outgrew the budget, the next one runs
+			// now rather than waiting for a write that may never come.
+			s.maybeCheckpoint()
+		}
 	}()
 }
 

@@ -526,3 +526,38 @@ func TestCheckpointBytesDisabled(t *testing.T) {
 		t.Fatalf("write volume too small to have crossed the budget: %d bytes", st.dur.UnprunedBytes())
 	}
 }
+
+// TestCheckpointWithoutNewWrites: a checkpoint with no write since the
+// previous one succeeds and leaves the log writable (rotating an empty
+// segment used to collide with its own file name and close the log).
+func TestCheckpointWithoutNewWrites(t *testing.T) {
+	dir := t.TempDir()
+	st, _, err := OpenStore(dir, DurabilityOptions{Sync: "none"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer st.Close()
+	if err := st.DefineRelation("e", 2); err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 2; i++ {
+		if err := st.Checkpoint(); err != nil {
+			t.Fatalf("checkpoint %d: %v", i+1, err)
+		}
+	}
+	if err := st.Apply("e", [][]int64{{1, 2}}, nil); err != nil {
+		t.Fatalf("write after back-to-back checkpoints: %v", err)
+	}
+	want := storeState(t, st)
+	if err := st.Close(); err != nil {
+		t.Fatal(err)
+	}
+	st2, _, err := OpenStore(dir, DurabilityOptions{Sync: "none"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer st2.Close()
+	if d := diffStates(storeState(t, st2), want); d != "" {
+		t.Fatalf("recovered state: %s", d)
+	}
+}

@@ -333,7 +333,9 @@ func (l *log) rotate() error {
 	if err == nil {
 		err = l.f.Sync()
 	}
-	if err == nil {
+	// A segment holding no record yet stays active: its successor would
+	// start at the same LSN and so take its file name.
+	if err == nil && l.nextLSN > l.segs[len(l.segs)-1].first {
 		err = l.f.Close()
 		l.f = nil
 		if err == nil {
