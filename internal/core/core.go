@@ -384,11 +384,11 @@ type Engine interface {
 // GAO positions of its columns in index order. Exactly one of Rel and Index
 // is set.
 type AtomIndex struct {
-	// Rel is the permuted sorted relation, set by BindRows for generic
-	// join, whose Algorithm 1 narrows explicit row spans.
+	// Rel is the permuted sorted relation, bound for generic join, whose
+	// Algorithm 1 narrows explicit row spans.
 	Rel *relation.Relation
-	// Index is the CSR trie index, set by BindAtom and BindAtoms for the
-	// trie-driven engines (LFTJ, Minesweeper).
+	// Index is the CSR trie index, bound for the trie-driven engines (LFTJ,
+	// Minesweeper).
 	Index IndexBackend
 	// VarPos[k] is the GAO position of the index's column k.
 	VarPos []int
@@ -438,18 +438,8 @@ func bindAtom(a query.Atom, db *DB, gaoPos map[string]int, rows bool) (AtomIndex
 	return ai, nil
 }
 
-// BindAtoms binds the GAO-consistent CSR trie index of every atom of a
-// query (paper §4.1).
-func BindAtoms(q *query.Query, db *DB, gao []string) ([]AtomIndex, error) {
-	return bindAtoms(q, db, gao, false)
-}
-
-// BindRows binds the GAO-consistent sorted rows of every atom of a query:
-// the binding generic join executes over.
-func BindRows(q *query.Query, db *DB, gao []string) ([]AtomIndex, error) {
-	return bindAtoms(q, db, gao, true)
-}
-
+// bindAtoms binds the GAO-consistent index of every atom of a query (paper
+// §4.1): the CSR tries, or with rows the sorted rows generic join narrows.
 func bindAtoms(q *query.Query, db *DB, gao []string, rows bool) ([]AtomIndex, error) {
 	pos := make(map[string]int, len(gao))
 	for i, v := range gao {

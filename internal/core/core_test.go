@@ -70,7 +70,7 @@ func TestBindAtoms(t *testing.T) {
 	// GAO c,b,a: the first atom's index order must become (b,a), the
 	// second's (c,b) -> wait: positions c=0,b=1,a=2, so atom1 (a,b) sorts to
 	// (b,a) and atom2 (b,c) sorts to (c,b).
-	atoms, err := BindRows(q, db, []string{"c", "b", "a"})
+	atoms, err := bindAtoms(q, db, []string{"c", "b", "a"}, true)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -85,16 +85,16 @@ func TestBindAtoms(t *testing.T) {
 		t.Errorf("atom0 index tuple = %v", atoms[0].Rel.Tuple(0))
 	}
 	// A GAO missing a variable fails.
-	if _, err := BindAtoms(q, db, []string{"a", "b"}); err == nil {
+	if _, err := bindAtoms(q, db, []string{"a", "b"}, false); err == nil {
 		t.Error("short GAO should fail")
 	}
 	// An atom binding fewer columns than its relation holds fails instead
 	// of reaching the column permutation.
 	short := query.New("s", query.Atom{Rel: "edge", Vars: []string{"a"}})
-	if _, err := BindAtoms(short, db, []string{"a"}); err == nil {
+	if _, err := bindAtoms(short, db, []string{"a"}, false); err == nil {
 		t.Error("arity mismatch should fail")
 	}
-	if _, err := BindRows(short, db, []string{"a"}); err == nil {
+	if _, err := bindAtoms(short, db, []string{"a"}, true); err == nil {
 		t.Error("arity mismatch should fail on rows")
 	}
 }

@@ -161,7 +161,7 @@ func TestSnapshotAtoms(t *testing.T) {
 		query.Atom{Rel: "edge", Vars: []string{"a", "b"}},
 		query.Atom{Rel: "edge", Vars: []string{"a", "c"}},
 	)
-	atoms, err := BindAtoms(q, db, []string{"a", "b", "c"})
+	atoms, err := bindAtoms(q, db, []string{"a", "b", "c"}, false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -185,7 +185,7 @@ func TestSnapshotAtoms(t *testing.T) {
 		t.Error("live index misses the post-delta tuple")
 	}
 	// Row bindings are immutable already; SnapshotAtoms leaves them alone.
-	rowAtoms, err := BindRows(q, db, []string{"a", "b", "c"})
+	rowAtoms, err := bindAtoms(q, db, []string{"a", "b", "c"}, true)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -35,6 +35,12 @@ type Plan struct {
 	Push *Pushdown
 }
 
+// Range restricts a plan's first GAO variable to [Lo, Hi): one §4.10
+// parallel job, or one shard of a partitioned query.
+type Range struct {
+	Lo, Hi int64
+}
+
 // reads reports whether the plan binds an index over the named relation.
 func (p *Plan) reads(rel string) bool {
 	for _, a := range p.Query.Atoms {

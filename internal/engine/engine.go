@@ -112,9 +112,7 @@ type Options struct {
 
 // Range restricts the first GAO variable to [Lo, Hi); see
 // Options.FirstVarRange.
-type Range struct {
-	Lo, Hi int64
-}
+type Range = core.Range
 
 // New returns the configured engine.
 func New(opts Options) (core.Engine, error) {
@@ -192,19 +190,13 @@ func (p *parallel) Name() string { return string(p.opts.Algorithm) }
 // is non-nil (one §4.10 job, or an external FirstVarRange).
 func (p *parallel) engine(rng *Range) core.Engine {
 	if p.opts.Algorithm == LFTJ {
-		opts := lftj.Options{GAO: p.opts.GAO, Plan: p.opts.Plan, Stats: p.opts.Stats}
-		if rng != nil {
-			opts.FirstVarRange = &lftj.Range{Lo: rng.Lo, Hi: rng.Hi}
-		}
-		return lftj.Engine{Opts: opts}
+		return lftj.Engine{Opts: lftj.Options{GAO: p.opts.GAO, FirstVarRange: rng, Plan: p.opts.Plan, Stats: p.opts.Stats}}
 	}
 	ms := p.opts.MS
 	if ms.GAO == nil {
 		ms.GAO = p.opts.GAO
 	}
-	if rng != nil {
-		ms.FirstVarRange = &minesweeper.Range{Lo: rng.Lo, Hi: rng.Hi}
-	}
+	ms.FirstVarRange = rng
 	ms.Plan = p.opts.Plan
 	ms.Collector = p.opts.Stats
 	return minesweeper.Engine{Opts: ms}

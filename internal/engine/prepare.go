@@ -52,7 +52,7 @@ func Prepare(opts Options, q *query.Query, db *core.DB) (core.Engine, *core.Plan
 // query under these options, without touching any data: GAO resolution is
 // purely structural (query shape plus planner toggles), so a coordinator can
 // compute the order a remote host will execute under and partition or merge
-// on its leading attribute. Mirrors CompilePlan's resolution exactly.
+// on its leading attribute. It runs CompilePlan's resolution.
 func ResolveGAO(opts Options, q *query.Query) ([]string, error) {
 	alg, err := ParseAlgorithm(string(opts.Algorithm))
 	if err != nil {
@@ -61,23 +61,47 @@ func ResolveGAO(opts Options, q *query.Query) ([]string, error) {
 	if err := q.Validate(); err != nil {
 		return nil, err
 	}
-	userGAO := opts.GAO
+	userGAO, _ := planKeyParts(alg, opts, q)
+	gao, _, _, err := resolvePlan(alg, opts, userGAO, q)
+	return gao, err
+}
+
+// planKeyParts returns the user-supplied GAO and the planner-toggle variant
+// a compilation of q under opts is cached by. Minesweeper takes its own GAO
+// override, and a projected or aggregate query is pinned to its own
+// variable order, because it must enumerate grouped by the output prefix
+// (LFTJ's default GAO is already q.Vars()).
+func planKeyParts(alg Algorithm, opts Options, q *query.Query) (userGAO []string, variant string) {
+	userGAO = opts.GAO
+	if alg != MS {
+		return userGAO, ""
+	}
+	if opts.MS.GAO != nil {
+		userGAO = opts.MS.GAO
+	}
+	if opts.MS.DisableSkeleton {
+		variant = "noskel"
+	}
+	if userGAO == nil && q.PrefixOrdered() {
+		userGAO = q.Vars()
+	}
+	return userGAO, variant
+}
+
+// resolvePlan derives the GAO, Minesweeper's skeleton, and the query's
+// β-cyclicity from the user-supplied GAO (nil selects the default).
+func resolvePlan(alg Algorithm, opts Options, userGAO []string, q *query.Query) (gao []string, inSkel []bool, betaCyclic bool, err error) {
 	if alg == MS {
-		if opts.MS.GAO != nil {
-			userGAO = opts.MS.GAO
-		}
-		if userGAO == nil && q.PrefixOrdered() {
-			userGAO = q.Vars()
-		}
 		msOpts := opts.MS
 		msOpts.GAO = userGAO
-		gao, _, _, err := minesweeper.ResolvePlan(q, msOpts)
-		return gao, err
+		return minesweeper.ResolvePlan(q, msOpts)
 	}
-	if userGAO != nil {
-		return userGAO, nil
+	gao = userGAO
+	if gao == nil {
+		gao = q.Vars()
 	}
-	return q.Vars(), nil
+	_, acyclic := hypergraph.FindChainGAO(q.Vars(), q.Atoms)
+	return gao, nil, !acyclic, nil
 }
 
 // CompilePlan resolves the GAO and binds the GAO-consistent indexes for a
@@ -92,23 +116,7 @@ func CompilePlan(opts Options, q *query.Query, db *core.DB) (*core.Plan, error) 
 	if alg == "" {
 		alg = LFTJ
 	}
-	userGAO := opts.GAO
-	variant := ""
-	if alg == MS {
-		if opts.MS.GAO != nil {
-			userGAO = opts.MS.GAO
-		}
-		if opts.MS.DisableSkeleton {
-			variant = "noskel"
-		}
-		if userGAO == nil && q.PrefixOrdered() {
-			// Projected/aggregate queries must enumerate grouped by the
-			// output prefix; pin Minesweeper to the query's own variable
-			// order instead of the hypergraph-chosen one. (LFTJ's default
-			// GAO is already q.Vars().)
-			userGAO = q.Vars()
-		}
-	}
+	userGAO, variant := planKeyParts(alg, opts, q)
 	key := core.PlanKey(string(alg), variant, userGAO, q)
 	p, version, ok := db.CachedPlan(key)
 	if ok {
@@ -118,25 +126,9 @@ func CompilePlan(opts Options, q *query.Query, db *core.DB) (*core.Plan, error) 
 	if err := q.Validate(); err != nil {
 		return nil, err
 	}
-	var gao []string
-	var inSkel []bool
-	betaCyclic := false
-	switch alg {
-	case MS:
-		msOpts := opts.MS
-		msOpts.GAO = userGAO
-		var err error
-		gao, inSkel, betaCyclic, err = minesweeper.ResolvePlan(q, msOpts)
-		if err != nil {
-			return nil, err
-		}
-	default:
-		gao = userGAO
-		if gao == nil {
-			gao = q.Vars()
-		}
-		_, acyclic := hypergraph.FindChainGAO(q.Vars(), q.Atoms)
-		betaCyclic = !acyclic
+	gao, inSkel, betaCyclic, err := resolvePlan(alg, opts, userGAO, q)
+	if err != nil {
+		return nil, err
 	}
 	opts.Stats.Add(core.Stats{GAODerivations: 1})
 	plan, err := core.NewPlan(q, db, string(alg), gao, inSkel, betaCyclic, alg == GenericJoin, opts.Stats)

@@ -47,29 +47,20 @@ func (e Engine) Count(ctx context.Context, q *query.Query, db *core.DB) (int64, 
 
 // Enumerate implements core.Engine.
 func (e Engine) Enumerate(ctx context.Context, q *query.Query, db *core.DB, emit func([]int64) bool) error {
-	var gao []string
-	var atoms []core.AtomIndex
-	if p := e.Plan; p != nil {
-		gao, atoms = p.GAO, p.Atoms
-	} else {
-		if err := q.Validate(); err != nil {
-			return err
-		}
-		gao = e.GAO
+	p := e.Plan
+	if p == nil {
+		gao := e.GAO
 		if gao == nil {
 			gao = q.Vars()
-		}
-		if len(gao) != q.NumVars() {
-			return fmt.Errorf("genericjoin: GAO %v does not cover the %d query variables: %w", gao, q.NumVars(), core.ErrUnboundVar)
 		}
 		// Generic join narrows explicit row spans, so it binds the sorted
 		// rows rather than the trie indexes.
 		var err error
-		atoms, err = core.BindRows(q, db, gao)
-		if err != nil {
+		if p, err = core.NewPlan(q, db, "genericjoin", gao, nil, false, true, nil); err != nil {
 			return err
 		}
 	}
+	gao, atoms := p.GAO, p.Atoms
 	ex := &exec{
 		n:       len(gao),
 		atoms:   atoms,

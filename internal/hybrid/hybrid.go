@@ -128,7 +128,7 @@ func (e Engine) Count(ctx context.Context, q *query.Query, db *core.DB) (int64, 
 		}
 		cnt, err := (lftj.Engine{Opts: lftj.Options{
 			GAO:           gao,
-			FirstVarRange: &lftj.Range{Lo: v, Hi: v + 1},
+			FirstVarRange: &core.Range{Lo: v, Hi: v + 1},
 		}}).Count(ctx, cliqueQ, db)
 		if err != nil {
 			return 0, err
@@ -183,7 +183,7 @@ func (e Engine) Enumerate(ctx context.Context, q *query.Query, db *core.DB, emit
 		if !ok {
 			err := (lftj.Engine{Opts: lftj.Options{
 				GAO:           gao,
-				FirstVarRange: &lftj.Range{Lo: v, Hi: v + 1},
+				FirstVarRange: &core.Range{Lo: v, Hi: v + 1},
 			}}).Enumerate(ctx, cliqueQ, db, func(ct []int64) bool {
 				rows = append(rows, append([]int64(nil), ct...))
 				return true

@@ -14,19 +14,13 @@ import (
 	"repro/internal/relation"
 )
 
-// Range restricts the first GAO variable to [Lo, Hi); the parallel executor
-// (§4.10) partitions the output space with it.
-type Range struct {
-	Lo, Hi int64
-}
-
 // Options configure the engine.
 type Options struct {
 	// GAO overrides the variable order; empty means the query's
 	// first-appearance order.
 	GAO []string
 	// FirstVarRange restricts the first GAO variable for parallel jobs.
-	FirstVarRange *Range
+	FirstVarRange *core.Range
 	// Plan, when set, is a compiled plan for the query: validation, GAO
 	// resolution, and index binding are skipped and the plan's bound
 	// indexes are executed directly.
@@ -55,32 +49,18 @@ func (e Engine) Count(ctx context.Context, q *query.Query, db *core.DB) (int64, 
 
 // Enumerate implements core.Engine.
 func (e Engine) Enumerate(ctx context.Context, q *query.Query, db *core.DB, emit func([]int64) bool) error {
-	var gao []string
-	var atoms []core.AtomIndex
-	var push *core.Pushdown
-	if p := e.Opts.Plan; p != nil {
-		gao, atoms, push = p.GAO, p.Atoms, p.Push
-	} else {
-		if err := q.Validate(); err != nil {
-			return err
-		}
-		gao = e.Opts.GAO
+	p := e.Opts.Plan
+	if p == nil {
+		gao := e.Opts.GAO
 		if gao == nil {
 			gao = q.Vars()
 		}
-		if len(gao) != q.NumVars() {
-			return fmt.Errorf("lftj: GAO %v does not cover the %d query variables: %w", gao, q.NumVars(), core.ErrUnboundVar)
-		}
 		var err error
-		atoms, err = core.BindAtoms(q, db, gao)
-		if err != nil {
-			return err
-		}
-		push, err = core.CompilePushdown(q, gao)
-		if err != nil {
+		if p, err = core.NewPlan(q, db, "lftj", gao, nil, false, false, nil); err != nil {
 			return err
 		}
 	}
+	gao, atoms, push := p.GAO, p.Atoms, p.Push
 	// Pin overlay-backed indexes to one snapshot for this whole run, so a
 	// concurrent DB.ApplyDelta can never mix two index states mid-join.
 	atoms = core.SnapshotAtoms(atoms)

@@ -150,7 +150,7 @@ func TestRangePartition(t *testing.T) {
 		var total int64
 		cuts := []int64{relation.NegInf + 1, 5, 11, 16, relation.PosInf}
 		for i := 0; i+1 < len(cuts); i++ {
-			e := Engine{Opts: Options{FirstVarRange: &Range{Lo: cuts[i], Hi: cuts[i+1]}}}
+			e := Engine{Opts: Options{FirstVarRange: &core.Range{Lo: cuts[i], Hi: cuts[i+1]}}}
 			total += count(t, e, q, db)
 		}
 		if total != want {

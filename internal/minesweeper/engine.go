@@ -10,12 +10,6 @@ import (
 	"repro/internal/relation"
 )
 
-// Range restricts the first GAO variable to [Lo, Hi) for the §4.10 parallel
-// partitioning.
-type Range struct {
-	Lo, Hi int64
-}
-
 // Options toggle the paper's implementation ideas; every idea defaults to
 // enabled so the ablation benchmarks (Tables 1–3) switch them off.
 type Options struct {
@@ -34,7 +28,7 @@ type Options struct {
 	// reuse (Idea 8; see DESIGN.md §4).
 	DisableCountMemo bool
 	// FirstVarRange restricts the first GAO variable for parallel jobs.
-	FirstVarRange *Range
+	FirstVarRange *core.Range
 	// Plan, when set, is a compiled plan for the query: validation, GAO and
 	// skeleton resolution, and index binding are skipped and the plan's
 	// bound indexes are executed directly.
@@ -87,20 +81,8 @@ type exec struct {
 }
 
 func (e Engine) run(ctx context.Context, q *query.Query, db *core.DB, emit func([]int64) bool) (int64, error) {
-	var gao []string
-	var inSkel []bool
-	var atoms []core.AtomIndex
-	var push *core.Pushdown
-	if p := e.Opts.Plan; p != nil {
-		gao, atoms, push = p.GAO, p.Atoms, p.Push
-		inSkel = p.InSkel
-		if inSkel == nil {
-			inSkel = make([]bool, len(q.Atoms))
-			for i := range inSkel {
-				inSkel[i] = true
-			}
-		}
-	} else {
+	p := e.Opts.Plan
+	if p == nil {
 		if err := q.Validate(); err != nil {
 			return 0, err
 		}
@@ -111,18 +93,19 @@ func (e Engine) run(ctx context.Context, q *query.Query, db *core.DB, emit func(
 			// instead of the hypergraph-chosen one.
 			opts.GAO = q.Vars()
 		}
-		var err error
-		gao, inSkel, _, err = resolvePlan(q, opts)
+		gao, inSkel, betaCyclic, err := resolvePlan(q, opts)
 		if err != nil {
 			return 0, err
 		}
-		atoms, err = core.BindAtoms(q, db, gao)
-		if err != nil {
+		if p, err = core.NewPlan(q, db, "ms", gao, inSkel, betaCyclic, false, nil); err != nil {
 			return 0, err
 		}
-		push, err = core.CompilePushdown(q, gao)
-		if err != nil {
-			return 0, err
+	}
+	gao, atoms, push, inSkel := p.GAO, p.Atoms, p.Push, p.InSkel
+	if inSkel == nil {
+		inSkel = make([]bool, len(q.Atoms))
+		for i := range inSkel {
+			inSkel[i] = true
 		}
 	}
 	maxArity := 0

@@ -8,6 +8,7 @@ package naive
 
 import (
 	"context"
+	"fmt"
 
 	"repro/internal/core"
 	"repro/internal/query"
@@ -42,7 +43,7 @@ func (e Engine) Enumerate(ctx context.Context, q *query.Query, db *core.DB, emit
 			return err
 		}
 		if r.Arity() != len(a.Vars) {
-			return errArity(a, r)
+			return fmt.Errorf("naive: atom %s arity mismatch with %s", a, r)
 		}
 		rels[i] = r
 	}
@@ -174,17 +175,4 @@ func (e Engine) Enumerate(ctx context.Context, q *query.Query, db *core.DB, emit
 	}
 	_, err := rec(0)
 	return err
-}
-
-type arityError struct {
-	atom query.Atom
-	rel  *relation.Relation
-}
-
-func errArity(a query.Atom, r *relation.Relation) error {
-	return &arityError{atom: a, rel: r}
-}
-
-func (e *arityError) Error() string {
-	return "naive: atom " + e.atom.String() + " arity mismatch with relation " + e.rel.String()
 }
