@@ -3,7 +3,6 @@ package repro
 import (
 	"context"
 	"fmt"
-	"math/rand"
 	"sync"
 
 	"repro/internal/core"
@@ -103,16 +102,23 @@ var (
 // malformed input fails with a positioned *query.SyntaxError.
 func ParseQuery(name, src string) (*Query, error) { return query.Parse(name, src) }
 
-// Graph is an undirected graph plus the benchmark database schema derived
-// from it: the symmetric "edge" relation, the oriented "fwd" relation, and
-// the node samples v1..v4. It is a thin compatibility wrapper over Store —
-// the benchmark schema is one canned schema — so everything a Store offers
-// (ReadTxn, Batch, schema-checked ParseQuery) is available through Store().
-// Graph methods are safe for concurrent use (queries through the store
-// serialize on the database; the wrapper's own vertex count is guarded by
-// its mutex).
+// Graph is a Store holding the paper's §5.1 benchmark schema, derived from
+// an undirected graph: the symmetric "edge" relation, the oriented "fwd"
+// relation, and the node samples v1..v4. Every Store method is promoted
+// (Prepare, Count, Enumerate, AGMBound, ReadTxn, Batch, schema-checked
+// ParseQuery); the Graph methods add only what the schema needs beyond a
+// store.
+//
+// Write edges and samples through the Graph methods (ApplyEdges,
+// SetSelectivity, SetSamples) or a CountView: a raw Store.Apply on "edge"
+// or "fwd" updates only that one relation and silently breaks the schema's
+// invariants (edge symmetric, fwd its u<v orientation) that every benchmark
+// query assumes, and a raw write on either bypasses the vertex accounting —
+// Nodes and the SetSelectivity sampling population would go stale.
+//
+// A Graph is safe for concurrent use.
 type Graph struct {
-	s *Store
+	*Store
 
 	// mu guards nodes against concurrent ApplyEdges/Nodes/SetSelectivity
 	// calls.
@@ -154,10 +160,10 @@ func NewGraph(edges [][2]int64) *Graph {
 	return newGraph(g, 1)
 }
 
-// newGraph wraps the benchmark schema derived from g, its node samples
+// newGraph builds the benchmark schema derived from g, its node samples
 // drawn with seed.
 func newGraph(g *dataset.Graph, seed int64) *Graph {
-	return &Graph{s: newStoreOver(dataset.DB(g, 1, seed)), nodes: g.N}
+	return &Graph{Store: newStoreOver(dataset.DB(g, 1, seed)), nodes: g.N}
 }
 
 // GenerateGraph produces a deterministic synthetic graph (see
@@ -186,7 +192,7 @@ func (g *Graph) Nodes() int {
 // Edges returns the undirected edge count: the size of the oriented "fwd"
 // relation, which holds each edge once.
 func (g *Graph) Edges() int {
-	fwd, err := g.s.db.Relation(query.Fwd)
+	fwd, err := g.db.Relation(query.Fwd)
 	if err != nil {
 		return 0
 	}
@@ -198,34 +204,17 @@ func (g *Graph) Edges() int {
 // replaced in one atomic registration, so a concurrent ReadTxn/Batch
 // snapshot observes one sample generation, never a mix.
 func (g *Graph) SetSelectivity(s int, seed int64) {
-	rng := rand.New(rand.NewSource(seed))
-	samples := make(map[string][]int64, 4)
 	g.mu.Lock()
 	population := &dataset.Graph{N: g.nodes}
 	g.mu.Unlock()
-	for _, name := range []string{query.Sample1, query.Sample2, query.Sample3, query.Sample4} {
-		samples[name] = population.Sample(rng, s)
-	}
-	dataset.ReplaceNamedSamples(g.s.db, samples)
+	dataset.ReplaceNamedSamples(g.db, dataset.DrawSamples(population, s, seed))
 }
 
 // SetSamples sets the v1 and v2 samples explicitly (Figures 3–5 use
 // absolute sample sizes), replacing both atomically.
 func (g *Graph) SetSamples(v1, v2 []int64) {
-	dataset.ReplaceSamples(g.s.db, v1, v2)
+	dataset.ReplaceNamedSamples(g.db, map[string][]int64{query.Sample1: v1, query.Sample2: v2})
 }
-
-// Store returns the underlying general-schema store: the benchmark schema
-// (edge, fwd, v1..v4) as ordinary store relations. Use it for snapshot
-// read-transactions (ReadTxn), batched execution (Batch), and schema-checked
-// parsing over the benchmark relations. For writes, use the Graph methods
-// (ApplyEdges, SetSelectivity, SetSamples): a raw Store.Apply on "edge" or
-// "fwd" updates only that one relation and silently breaks the schema's
-// invariants (edge symmetric, fwd its u<v orientation) that every benchmark
-// query assumes, and a raw write on either bypasses the wrapper's vertex
-// accounting — Nodes and the SetSelectivity sampling population would go
-// stale.
-func (g *Graph) Store() *Store { return g.s }
 
 // ApplyEdges inserts and removes undirected edges through the incremental
 // write path, maintaining the schema invariants: both directions land in
@@ -244,14 +233,10 @@ func (g *Graph) ApplyEdges(insert, remove [][2]int64) error {
 	}
 	// The database write and the vertex count update form one critical
 	// section: a conflicting concurrent batch cannot interleave between
-	// them and desync the wrapper from the stored relations.
+	// them and desync the vertex count from the stored relations.
 	g.mu.Lock()
 	defer g.mu.Unlock()
-	err := g.s.applyDeltas([]core.DeltaBatch{
-		{Name: query.Edge, Inserts: incremental.Orient(insert, false), Deletes: incremental.Orient(remove, false)},
-		{Name: query.Fwd, Inserts: incremental.Orient(insert, true), Deletes: incremental.Orient(remove, true)},
-	})
-	if err != nil {
+	if err := g.applyDeltas(incremental.EdgeBatches(insert, remove)); err != nil {
 		return err
 	}
 	g.growNodesLocked(insert, remove)
@@ -294,15 +279,6 @@ func checkEdgeDomain(insert, remove [][2]int64) error {
 	}
 	return nil
 }
-
-// Prepare compiles the query against this graph for the configured engine;
-// see Store.Prepare.
-func (g *Graph) Prepare(q *Query, opts Options) (*Prepared, error) {
-	return g.s.Prepare(q, opts)
-}
-
-// DB exposes the underlying database (for the benchmark harness).
-func (g *Graph) DB() *core.DB { return g.s.db }
 
 // Options select and configure an engine. Algorithm is typed — use the
 // exported constants (LFTJ, MS, ...); string literals still assign for
@@ -394,36 +370,6 @@ func ResolveGAO(q *Query, opts Options) ([]string, error) {
 	return engine.ResolveGAO(opts.engineOptions(), q)
 }
 
-// Count evaluates the query on the graph and returns the number of results
-// (all the paper's benchmark queries are counts, §5.1). It is a one-shot
-// convenience over Prepare — repeated executions of the same query should
-// hold a Prepared handle instead.
-func Count(ctx context.Context, g *Graph, q *Query, opts Options) (int64, error) {
-	p, err := g.Prepare(q, opts)
-	if err != nil {
-		return 0, err
-	}
-	return p.Count(ctx)
-}
-
-// Enumerate streams result tuples in output order (head variables then any
-// aggregate values; q.Vars() order for plain queries); emit returns false to
-// stop early. It is a one-shot convenience over Prepare.
-func Enumerate(ctx context.Context, g *Graph, q *Query, opts Options, emit func([]int64) bool) error {
-	p, err := g.Prepare(q, opts)
-	if err != nil {
-		return err
-	}
-	return p.Enumerate(ctx, emit)
-}
-
-// AGMBound returns the Atserias–Grohe–Marx worst-case output bound of the
-// query on this graph's relation sizes (paper Appendix A) — the quantity
-// worst-case-optimal engines are optimal against.
-func AGMBound(g *Graph, q *Query) (float64, error) {
-	return g.s.AGMBound(q)
-}
-
 // ExecStats is the unified execution-counter surface every engine reports
 // on: planning counters (plan-cache hits, GAO derivations, index bindings),
 // per-run execution counters, and the engine-specific counters the paper's
@@ -431,36 +377,11 @@ func AGMBound(g *Graph, q *Query) (float64, error) {
 // reuses for Minesweeper; leapfrog seeks for LFTJ).
 type ExecStats = core.Stats
 
-// CountWithStats evaluates the query once and returns the count together
-// with its execution counters. When both Algorithm and Workers are left
-// zero it defaults to "ms" (the historical behavior of this function), and
-// an ms run with Workers zero — defaulted or explicit — runs sequentially,
-// because the ablation counters are only deterministic on a sequential
-// Minesweeper run (partitioned runs probe partition boundaries too). A
-// caller who sets only Workers gets the normal default engine (lftj) on
-// those workers — no silent rerouting to ms. For anything beyond a one-shot
-// measurement, hold a Prepared handle and read Stats() to aggregate across
-// executions.
-func CountWithStats(ctx context.Context, g *Graph, q *Query, opts Options) (int64, ExecStats, error) {
-	if opts.Algorithm == "" && opts.Workers == 0 {
-		opts.Algorithm = MS
-	}
-	if opts.Algorithm == MS && opts.Workers == 0 {
-		opts.Workers = 1
-	}
-	p, err := g.Prepare(q, opts)
-	if err != nil {
-		return 0, ExecStats{}, err
-	}
-	n, err := p.Count(ctx)
-	return n, p.Stats(), err
-}
-
 // CountView is a materialized pattern count maintained incrementally under
 // edge updates (the paper's §3 motivation: LogicBlox's incrementally
 // maintained materialized views).
 type CountView struct {
-	inner *incremental.GraphView
+	inner *incremental.View
 	g     *Graph
 }
 
@@ -469,11 +390,11 @@ type CountView struct {
 // store's write-ahead log: each ApplyEdges is one logged record, fsynced
 // like any other write.
 func MaintainCount(ctx context.Context, g *Graph, q *Query) (*CountView, error) {
-	v, err := incremental.NewGraphView(ctx, q, g.s.db)
+	v, err := incremental.NewView(ctx, q, g.db)
 	if err != nil {
 		return nil, err
 	}
-	v.SetApply(g.s.applyDeltas)
+	v.SetApply(g.applyDeltas)
 	return &CountView{inner: v, g: g}, nil
 }
 
@@ -500,7 +421,7 @@ func (v *CountView) ApplyEdges(ctx context.Context, insert, remove [][2]int64) e
 	}
 	v.g.mu.Lock()
 	defer v.g.mu.Unlock()
-	if err := v.inner.ApplyEdges(ctx, insert, remove); err != nil {
+	if err := v.inner.Update(ctx, incremental.EdgeBatches(insert, remove)); err != nil {
 		return err
 	}
 	v.g.growNodesLocked(insert, remove)
@@ -511,5 +432,5 @@ func (v *CountView) ApplyEdges(ctx context.Context, insert, remove [][2]int64) e
 // (the paper's §6 future work) and registers it as relation "tc", queryable
 // from any engine, e.g. ParseQuery("reach", "v1(a), tc(a, b), v2(b)").
 func MaterializeTransitiveClosure(ctx context.Context, g *Graph) error {
-	return recursive.RegisterTC(ctx, g.s.db)
+	return recursive.RegisterTC(ctx, g.db)
 }

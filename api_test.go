@@ -2,7 +2,11 @@ package repro
 
 import (
 	"context"
+	"reflect"
 	"testing"
+
+	"repro/internal/dataset"
+	"repro/internal/query"
 )
 
 func k4() *Graph {
@@ -12,7 +16,7 @@ func k4() *Graph {
 func TestCountTrianglesAllEngines(t *testing.T) {
 	g := k4()
 	for _, alg := range []Algorithm{"", LFTJ, MS, PSQL, MonetDB, GraphLab} {
-		got, err := Count(context.Background(), g, Triangles(), Options{Algorithm: alg})
+		got, err := g.Count(context.Background(), Triangles(), Options{Algorithm: alg})
 		if err != nil {
 			t.Fatalf("%q: %v", alg, err)
 		}
@@ -28,11 +32,11 @@ func TestGeneratedGraphConsistency(t *testing.T) {
 		t.Fatalf("nodes=%d edges=%d", g.Nodes(), g.Edges())
 	}
 	ctx := context.Background()
-	a, err := Count(ctx, g, Triangles(), Options{Algorithm: "lftj"})
+	a, err := g.Count(ctx, Triangles(), Options{Algorithm: "lftj"})
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := Count(ctx, g, Triangles(), Options{Algorithm: "ms"})
+	b, err := g.Count(ctx, Triangles(), Options{Algorithm: "ms"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -45,11 +49,11 @@ func TestSelectivityAndSamples(t *testing.T) {
 	g := GenerateGraph(ErdosRenyi, 200, 400, 5)
 	g.SetSelectivity(10, 7)
 	ctx := context.Background()
-	n1, err := Count(ctx, g, Paths(3), Options{Algorithm: "ms"})
+	n1, err := g.Count(ctx, Paths(3), Options{Algorithm: "ms"})
 	if err != nil {
 		t.Fatal(err)
 	}
-	n2, err := Count(ctx, g, Paths(3), Options{Algorithm: "lftj"})
+	n2, err := g.Count(ctx, Paths(3), Options{Algorithm: "lftj"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -57,11 +61,11 @@ func TestSelectivityAndSamples(t *testing.T) {
 		t.Errorf("ms=%d lftj=%d", n1, n2)
 	}
 	g.SetSamples([]int64{0}, []int64{1})
-	n3, err := Count(ctx, g, Paths(3), Options{Algorithm: "yannakakis"})
+	n3, err := g.Count(ctx, Paths(3), Options{Algorithm: "yannakakis"})
 	if err != nil {
 		t.Fatal(err)
 	}
-	n4, err := Count(ctx, g, Paths(3), Options{Algorithm: "lftj"})
+	n4, err := g.Count(ctx, Paths(3), Options{Algorithm: "lftj"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -73,7 +77,7 @@ func TestSelectivityAndSamples(t *testing.T) {
 func TestEnumerateAPI(t *testing.T) {
 	g := k4()
 	var rows [][]int64
-	err := Enumerate(context.Background(), g, Triangles(), Options{}, func(tu []int64) bool {
+	err := g.Enumerate(context.Background(), Triangles(), Options{}, func(tu []int64) bool {
 		rows = append(rows, append([]int64(nil), tu...))
 		return true
 	})
@@ -90,7 +94,7 @@ func TestParseQueryAPI(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := Count(context.Background(), k4(), q, Options{})
+	got, err := k4().Count(context.Background(), q, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -114,7 +118,7 @@ func TestDatasetAPI(t *testing.T) {
 
 func TestAGMBoundAPI(t *testing.T) {
 	g := k4()
-	bound, err := AGMBound(g, Triangles())
+	bound, err := g.AGMBound(Triangles())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -125,7 +129,7 @@ func TestAGMBoundAPI(t *testing.T) {
 }
 
 func TestBadAlgorithm(t *testing.T) {
-	if _, err := Count(context.Background(), k4(), Triangles(), Options{Algorithm: "nope"}); err == nil {
+	if _, err := k4().Count(context.Background(), Triangles(), Options{Algorithm: "nope"}); err == nil {
 		t.Error("unknown algorithm should fail")
 	}
 }
@@ -134,11 +138,11 @@ func TestHybridAPI(t *testing.T) {
 	g := GenerateGraph(HolmeKim, 100, 500, 2)
 	g.SetSelectivity(4, 9)
 	ctx := context.Background()
-	a, err := Count(ctx, g, Lollipops(2), Options{Algorithm: "hybrid"})
+	a, err := g.Count(ctx, Lollipops(2), Options{Algorithm: "hybrid"})
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := Count(ctx, g, Lollipops(2), Options{Algorithm: "lftj"})
+	b, err := g.Count(ctx, Lollipops(2), Options{Algorithm: "lftj"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -151,7 +155,7 @@ func TestIdeaTogglesAPI(t *testing.T) {
 	g := GenerateGraph(BarabasiAlbert, 150, 600, 4)
 	g.SetSelectivity(10, 3)
 	ctx := context.Background()
-	base, err := Count(ctx, g, Comb(), Options{Algorithm: "ms"})
+	base, err := g.Count(ctx, Comb(), Options{Algorithm: "ms"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -161,7 +165,7 @@ func TestIdeaTogglesAPI(t *testing.T) {
 		{Algorithm: "ms", DisableSkeleton: true},
 		{Algorithm: "ms", DisableCountReuse: true},
 	} {
-		got, err := Count(ctx, g, Comb(), o)
+		got, err := g.Count(ctx, Comb(), o)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -171,15 +175,48 @@ func TestIdeaTogglesAPI(t *testing.T) {
 	}
 }
 
-func TestCountWithStatsAPI(t *testing.T) {
-	g := GenerateGraph(BarabasiAlbert, 100, 400, 6)
+// TestPreparedMSStats pins the ablation counters of a sequential ms
+// handle: probes are counted, Outputs equals the count, and two executions
+// add identical execution counters (only a sequential Minesweeper run is
+// deterministic; partitioned runs probe partition boundaries too).
+func TestPreparedMSStats(t *testing.T) {
+	ctx := context.Background()
+	g := GenerateGraph(BarabasiAlbert, 200, 800, 6)
 	g.SetSelectivity(5, 2)
-	n, stats, err := CountWithStats(context.Background(), g, Paths(3), Options{})
+	p, err := g.Prepare(Paths(3), Options{Algorithm: MS, Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if stats.Outputs != n || stats.Probes == 0 {
-		t.Errorf("stats = %+v for count %d", stats, n)
+	var runs [2]ExecStats
+	for i := range runs {
+		before := p.Stats()
+		n, err := p.Count(ctx)
+		if err != nil {
+			t.Fatal(err)
+		}
+		runs[i] = p.Stats().Sub(before)
+		if runs[i].Outputs != n || runs[i].Probes == 0 {
+			t.Errorf("execution %d: stats = %+v for count %d", i, runs[i], n)
+		}
+	}
+	if runs[0] != runs[1] {
+		t.Errorf("ms counters differ across executions:\n%+v\n%+v", runs[0], runs[1])
+	}
+}
+
+// TestSetSelectivityMatchesDatasetDB pins the one sample draw: redrawing a
+// generated graph's samples with a seed yields exactly the v1..v4 tuples
+// the dataset package builds for that graph, selectivity and seed.
+func TestSetSelectivityMatchesDatasetDB(t *testing.T) {
+	for _, s := range []int{1, 8} {
+		g := GenerateGraph(BarabasiAlbert, 300, 1200, 7)
+		g.SetSelectivity(s, 99)
+		want := newStoreOver(dataset.DB(dataset.Generate(BarabasiAlbert, 300, 1200, 7), s, 99))
+		for _, name := range []string{query.Sample1, query.Sample2, query.Sample3, query.Sample4} {
+			if got, exp := relTuples(t, g.Store, name), relTuples(t, want, name); !reflect.DeepEqual(got, exp) {
+				t.Errorf("s=%d %s: %d tuples, want %d", s, name, len(got), len(exp))
+			}
+		}
 	}
 }
 
@@ -200,7 +237,7 @@ func TestMaintainCountAPI(t *testing.T) {
 		t.Errorf("after insert = %d, want 1", v.Count())
 	}
 	// The underlying graph relations changed too: a fresh engine count agrees.
-	n, err := Count(ctx, g, Triangles(), Options{})
+	n, err := g.Count(ctx, Triangles(), Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -220,7 +257,7 @@ func TestTransitiveClosureAPI(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	n, err := Count(ctx, g, q, Options{})
+	n, err := g.Count(ctx, q, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -231,7 +268,7 @@ func TestTransitiveClosureAPI(t *testing.T) {
 
 func TestGenericJoinAPI(t *testing.T) {
 	g := k4()
-	n, err := Count(context.Background(), g, Triangles(), Options{Algorithm: "genericjoin"})
+	n, err := g.Count(context.Background(), Triangles(), Options{Algorithm: "genericjoin"})
 	if err != nil {
 		t.Fatal(err)
 	}

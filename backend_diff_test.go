@@ -102,12 +102,12 @@ func TestBackendParallelDifferential(t *testing.T) {
 	g := GenerateGraph(BarabasiAlbert, 2000, 10000, 11)
 	g.SetSelectivity(10, 3)
 	for _, q := range []*Query{Triangles(), Cliques(4), Paths(3)} {
-		want, err := Count(ctx, g, q, Options{Algorithm: LFTJ, Workers: 1})
+		want, err := g.Count(ctx, q, Options{Algorithm: LFTJ, Workers: 1})
 		if err != nil {
 			t.Fatal(err)
 		}
 		for _, alg := range []Algorithm{LFTJ, MS} {
-			got, err := Count(ctx, g, q, Options{Algorithm: alg, Workers: 4, Granularity: 8})
+			got, err := g.Count(ctx, q, Options{Algorithm: alg, Workers: 4, Granularity: 8})
 			if err != nil {
 				t.Fatalf("%s/%s parallel: %v", q.Name, alg, err)
 			}
@@ -135,7 +135,7 @@ func TestViewBackendDifferential(t *testing.T) {
 			}
 		}
 		g := NewGraph(edges)
-		v, err := incremental.NewGraphView(ctx, q, g.DB())
+		v, err := incremental.NewView(ctx, q, g.DB())
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -152,7 +152,7 @@ func TestViewBackendDifferential(t *testing.T) {
 					del = append(del, e)
 				}
 			}
-			if err := v.ApplyEdges(ctx, ins, del); err != nil {
+			if err := v.Update(ctx, incremental.EdgeBatches(ins, del)); err != nil {
 				t.Fatalf("%s step %d: %v", q.Name, step, err)
 			}
 			recount, err := v.Recount(ctx)
@@ -177,13 +177,13 @@ func TestViewBackendDifferential(t *testing.T) {
 func TestViewPlanReuseOnCSR(t *testing.T) {
 	ctx := context.Background()
 	g := GenerateGraph(BarabasiAlbert, 300, 1200, 7)
-	v, err := incremental.NewGraphView(ctx, Triangles(), g.DB())
+	v, err := incremental.NewView(ctx, Triangles(), g.DB())
 	if err != nil {
 		t.Fatal(err)
 	}
 	afterBuild := v.Stats().IndexBindings
 	for i := 0; i < 5; i++ {
-		if err := v.ApplyEdges(ctx, [][2]int64{{int64(i), int64(i + 50)}}, nil); err != nil {
+		if err := v.Update(ctx, incremental.EdgeBatches([][2]int64{{int64(i), int64(i + 50)}}, nil)); err != nil {
 			t.Fatal(err)
 		}
 	}

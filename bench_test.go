@@ -37,7 +37,7 @@ func benchCount(b *testing.B, g *Graph, q *Query, opts Options) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := Count(ctx, g, q, opts); err != nil {
+		if _, err := g.Count(ctx, q, opts); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -213,7 +213,7 @@ func BenchmarkPreparedReuse(b *testing.B) {
 	b.Run("percall", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			if _, err := Count(ctx, g, q, opts); err != nil {
+			if _, err := g.Count(ctx, q, opts); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -317,7 +317,7 @@ func BenchmarkBackendParallel(b *testing.B) {
 }
 
 // BenchmarkViewMaintenance measures pure incremental-view upkeep: one small
-// ApplyEdges batch per iteration. The batch lands in the cached indexes'
+// edge batch per iteration. The batch lands in the cached indexes'
 // delta overlays instead of forcing an O(arity·n) trie rebuild (see
 // BenchmarkOverlayApply vs BenchmarkCSRBuild100k for that contrast in
 // isolation); BenchmarkViewMaintainAndServe adds the reads between batches.
@@ -325,7 +325,7 @@ func BenchmarkViewMaintenance(b *testing.B) {
 	ctx := context.Background()
 	b.Run("csr", func(b *testing.B) {
 		g := GenerateGraph(BarabasiAlbert, 3000, 15000, 42)
-		v, err := incremental.NewGraphView(ctx, Triangles(), g.DB())
+		v, err := incremental.NewView(ctx, Triangles(), g.DB())
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -333,7 +333,7 @@ func BenchmarkViewMaintenance(b *testing.B) {
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
 			u := int64(i % 2999)
-			if err := v.ApplyEdges(ctx, [][2]int64{{u, u + 1}}, [][2]int64{{u + 1, u + 2}}); err != nil {
+			if err := v.Update(ctx, incremental.EdgeBatches([][2]int64{{u, u + 1}}, [][2]int64{{u + 1, u + 2}})); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -348,7 +348,7 @@ func BenchmarkViewMaintainAndServe(b *testing.B) {
 	ctx := context.Background()
 	b.Run("csr", func(b *testing.B) {
 		g := GenerateGraph(BarabasiAlbert, 3000, 15000, 42)
-		v, err := incremental.NewGraphView(ctx, Triangles(), g.DB())
+		v, err := incremental.NewView(ctx, Triangles(), g.DB())
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -358,7 +358,7 @@ func BenchmarkViewMaintainAndServe(b *testing.B) {
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
 			u := int64(i % 2999)
-			if err := v.ApplyEdges(ctx, [][2]int64{{u, u + 1}}, [][2]int64{{u + 1, u + 2}}); err != nil {
+			if err := v.Update(ctx, incremental.EdgeBatches([][2]int64{{u, u + 1}}, [][2]int64{{u + 1, u + 2}})); err != nil {
 				b.Fatal(err)
 			}
 			p, err := g.Prepare(q, opts)
@@ -401,7 +401,7 @@ func BenchmarkAGMBound(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		for _, q := range queries {
-			if _, err := AGMBound(g, q); err != nil {
+			if _, err := g.AGMBound(q); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -442,7 +442,7 @@ func BenchmarkWCOJImplementations(b *testing.B) {
 func BenchmarkStoreBatch(b *testing.B) {
 	ctx := context.Background()
 	g := benchGraph(b, dataset.HolmeKim, 250, 900, 25)
-	s := g.Store()
+	s := g.Store
 	var reqs []Request
 	for _, q := range corpusQueries() {
 		p, err := s.Prepare(q, Options{Algorithm: LFTJ, Workers: 1})
@@ -485,7 +485,7 @@ func BenchmarkStoreBatch(b *testing.B) {
 func BenchmarkPushdown(b *testing.B) {
 	ctx := context.Background()
 	g := benchGraph(b, dataset.BarabasiAlbert, 5000, 40000, 1)
-	s := g.Store()
+	s := g.Store
 	const k = 137
 	pushQ, err := s.ParseQuery("push", fmt.Sprintf("out(b, c) :- edge(%d, b), edge(b, c)", k))
 	if err != nil {

@@ -17,7 +17,7 @@ import (
 func TestExtendedRemoteDifferential(t *testing.T) {
 	ctx := context.Background()
 	g := repro.GenerateGraph(repro.BarabasiAlbert, 60, 240, 11)
-	st := g.Store()
+	st := g.Store
 	local := repro.Local(st)
 	remote := dial(t, serve(t, st))
 

@@ -156,7 +156,7 @@ func run() error {
 			return err
 		}
 		g.SetSelectivity(*selectivity, *seed)
-		store = g.Store()
+		store = g.Store
 		qr = repro.Local(store)
 		desc = fmt.Sprintf("graph: %d nodes, %d edges", g.Nodes(), g.Edges())
 	}

@@ -335,7 +335,7 @@ func buildFlagStore(datasetName, model string, nodes, edges int, seed int64, sel
 			return nil, err
 		}
 		g.SetSelectivity(selectivity, seed)
-		return g.Store(), nil
+		return g.Store, nil
 	}
 	st := repro.NewStore()
 	if err := cli.SetupSchema(repro.Local(st), relations, loads); err != nil {
@@ -450,7 +450,7 @@ func loadStoresConfig(path string, stores map[string]*repro.Store) error {
 			if sec.hasSelector {
 				g.SetSelectivity(sec.selectivity, int64(sec.selSeed))
 			}
-			stores[sec.name] = g.Store()
+			stores[sec.name] = g.Store
 			continue
 		}
 		st := repro.NewStore()

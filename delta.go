@@ -27,8 +27,8 @@ func Remove(tuple ...int64) Delta { return Delta{Tuple: tuple, Delete: true} }
 // (core.DB.ApplyDeltas), so no concurrent reader — in particular no
 // ReadTxn/Batch snapshot — can observe some relations updated and others not.
 // This is the write-transaction counterpart of Apply for schemas whose
-// invariants span relations (Graph.ApplyEdges keeps "edge" and "fwd" in step
-// through the same mechanism).
+// invariants span relations (Graph.ApplyEdges lands "edge" and "fwd" as one
+// such write, built by incremental.EdgeBatches).
 //
 // Per relation the semantics match Apply: inserts already present and deletes
 // absent are ignored, and a tuple appearing as both an insert and a delete in

@@ -26,17 +26,17 @@
 // it was compiled against; compiled plans are also cached on the store
 // (keyed on query shape × algorithm × GAO, invalidated when a
 // relation they read is replaced), so re-preparing an unchanged shape is
-// cheap. One-shot helpers (Count, Enumerate, CountWithStats) remain as thin
-// wrappers over Prepare.
+// cheap. Store.Count and Store.Enumerate are one-shot conveniences over
+// Prepare; to read execution counters, prepare a handle and call Stats.
 //
 // # General schemas: Store
 //
-// Graph exposes the paper's fixed §5.1 benchmark schema (edge, fwd,
-// v1..v4). Store is the general layer underneath it — the same
-// generalization step from fixed benchmark patterns to arbitrary
-// graph-pattern workloads: the caller defines named relations of any arity,
-// bulk-loads and incrementally mutates them, and queries them with
-// schema-checked parsing over that schema. Directed graphs, edge-labeled
+// Graph is a Store holding the paper's fixed §5.1 benchmark schema (edge,
+// fwd, v1..v4). Store is the general layer — the same generalization step
+// from fixed benchmark patterns to arbitrary graph-pattern workloads: the
+// caller defines named relations of any arity, bulk-loads and
+// incrementally mutates them, and queries them with schema-checked parsing
+// over that schema. Directed graphs, edge-labeled
 // graphs (one relation per label, or a ternary relation with the label as
 // a column), and arbitrary n-ary relations are all ordinary schemas:
 //
@@ -50,8 +50,9 @@
 // ParseQuery accepts an optional rule head — "out(b, a) :- e(a, b)" — that
 // names the query and fixes the output variable order; unknown relations,
 // arity mismatches, and unbound head variables fail eagerly with typed
-// errors. Graph is a thin wrapper over Store (Graph.Store exposes the
-// benchmark schema as a store).
+// errors. Graph embeds *Store, so every Store method works on a Graph;
+// its own methods only build the benchmark schema and write edges and
+// samples in ways that keep that schema's invariants.
 //
 // Store.ReadTxn returns a snapshot read-transaction: every execution
 // through it observes the single index state pinned when the transaction

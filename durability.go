@@ -68,8 +68,8 @@ type RecoveryInfo struct {
 // runs first: the newest valid snapshot is loaded, then the log tail is
 // replayed through the same delta path live writes take, so cached CSR
 // indexes warm up through the ordinary overlay fold-in. After OpenStore
-// returns, every mutation — DefineRelation, Load, Apply, ApplyAll, and the
-// Graph wrappers routing through them — is appended to the write-ahead log
+// returns, every mutation — DefineRelation, Load, Apply, ApplyAll, and
+// the maintained views' batches — is appended to the write-ahead log
 // and fsynced per opts.Sync before the call returns, so an acknowledged
 // write survives a crash. Call Checkpoint periodically to bound log growth
 // and recovery time, and Close on shutdown.
@@ -145,8 +145,8 @@ func replay(db *core.DB, records []durable.Record) error {
 }
 
 // applyDeltas is the single funnel every incremental write takes —
-// Store.Apply, Store.ApplyAll, Graph.ApplyEdges, and the maintained views'
-// batches all land here as one atomic multi-relation delta. On a durable
+// Store.Apply, Store.ApplyAll, Graph.ApplyEdges (a Graph is a Store), and
+// the maintained views' batches all land here as one atomic multi-relation delta. On a durable
 // store the record is appended and the in-memory apply performed under one
 // lock (so log order equals apply order), then the caller blocks until the
 // record is fsynced per the store's policy; on an in-memory store it is a

@@ -59,11 +59,11 @@ func main() {
 	fmt.Printf("stats: %d executions, %d outputs, %d leapfrog seeks (GAO derived %dx, indexes bound %dx)\n",
 		st.Executions, st.Outputs, st.Seeks, st.GAODerivations, st.IndexBindings)
 
-	// One-shot helpers still exist for quick comparisons; each prepares
+	// The store's one-shot Count serves quick comparisons; each call prepares
 	// internally (hitting the plan cache for repeated shapes).
 	for _, alg := range []repro.Algorithm{repro.MS, repro.GraphLab, repro.PSQL} {
 		start := time.Now()
-		n, err := repro.Count(ctx, g, q, repro.Options{Algorithm: alg})
+		n, err := g.Count(ctx, q, repro.Options{Algorithm: alg})
 		if err != nil {
 			log.Fatalf("%s: %v", alg, err)
 		}

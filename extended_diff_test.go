@@ -185,7 +185,7 @@ func requireSameRows(t *testing.T, label string, got, want [][]int64) {
 func TestExtendedDifferential(t *testing.T) {
 	ctx := context.Background()
 	g := GenerateGraph(HolmeKim, 250, 900, 3)
-	s := g.Store()
+	s := g.Store
 	for _, src := range extendedCorpus() {
 		q, err := s.ParseQuery("q", src)
 		if err != nil {
@@ -284,7 +284,7 @@ func TestExtendedDifferentialChurn(t *testing.T) {
 // instead of silently returning plain-join results.
 func TestExtendedUnsupportedEngines(t *testing.T) {
 	g := GenerateGraph(ErdosRenyi, 100, 300, 2)
-	s := g.Store()
+	s := g.Store
 	q, err := s.ParseQuery("q", "out(a) :- edge(a, b)")
 	if err != nil {
 		t.Fatal(err)
@@ -308,7 +308,7 @@ func TestExtendedUnsupportedEngines(t *testing.T) {
 func TestExtendedTxnAndBatch(t *testing.T) {
 	ctx := context.Background()
 	g := GenerateGraph(BarabasiAlbert, 150, 600, 4)
-	s := g.Store()
+	s := g.Store
 	for _, src := range []string{"deg(a, count(b)) :- edge(a, b)", "out(a) :- edge(a, b), a < 100"} {
 		q, err := s.ParseQuery("q", src)
 		if err != nil {

@@ -49,7 +49,7 @@ func (h *Harness) FigurePathScaling(figure int) error {
 		}
 		v1 := s.g.SampleOfSize(rng, n)
 		v2 := s.g.SampleOfSize(rng, n)
-		dataset.ReplaceSamples(s.db, v1, v2)
+		dataset.ReplaceNamedSamples(s.db, map[string][]int64{query.Sample1: v1, query.Sample2: v2})
 		xi := ser.addX(fmt.Sprintf("%d", n))
 		for j, alg := range figurePathEngines {
 			res := h.run(engine.Options{Algorithm: alg, Workers: h.cfg.Workers}, q, s.db)

@@ -12,7 +12,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"math/rand"
+	"strings"
 	"time"
 
 	"repro/internal/core"
@@ -133,10 +133,7 @@ func (h *Harness) site(name string) (*site, error) {
 // "we ensure each system sees the same random datasets"); edge indexes stay
 // cached.
 func (h *Harness) setSelectivity(s *site, sel int) {
-	rng := rand.New(rand.NewSource(h.cfg.SampleSeed*1000 + int64(sel)))
-	for _, name := range []string{query.Sample1, query.Sample2, query.Sample3, query.Sample4} {
-		dataset.ReplaceSample(s.db, name, s.g.Sample(rng, sel))
-	}
+	dataset.ReplaceNamedSamples(s.db, dataset.DrawSamples(s.g, sel, h.cfg.SampleSeed*1000+int64(sel)))
 }
 
 // result is one cell outcome.
@@ -225,16 +222,7 @@ func isNotSupported(err error) bool {
 		return false
 	}
 	s := err.Error()
-	return contains(s, "not implemented") || contains(s, "not supported") || contains(s, "alpha-acyclic")
-}
-
-func contains(s, sub string) bool {
-	for i := 0; i+len(sub) <= len(s); i++ {
-		if s[i:i+len(sub)] == sub {
-			return true
-		}
-	}
-	return false
+	return strings.Contains(s, "not implemented") || strings.Contains(s, "not supported") || strings.Contains(s, "alpha-acyclic")
 }
 
 // msOptions builds engine options for Minesweeper with idea toggles.

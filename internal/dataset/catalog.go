@@ -98,15 +98,20 @@ func DB(g *Graph, selectivity int, sampleSeed int64) *core.DB {
 	}
 	db.Add(eb.Build())
 	db.Add(fb.Build())
-	rng := rand.New(rand.NewSource(sampleSeed))
-	for _, name := range []string{query.Sample1, query.Sample2, query.Sample3, query.Sample4} {
-		sb := relation.NewBuilder(name, 1)
-		for _, v := range g.Sample(rng, selectivity) {
-			sb.Add(v)
-		}
-		db.Add(sb.Build())
-	}
+	ReplaceNamedSamples(db, DrawSamples(g, selectivity, sampleSeed))
 	return db
+}
+
+// DrawSamples draws the four node samples v1..v4 at the given selectivity
+// (§5.1: each vertex is kept with probability 1/selectivity), in that order
+// from one rng seeded with seed, so a seed always yields the same samples.
+func DrawSamples(g *Graph, selectivity int, seed int64) map[string][]int64 {
+	rng := rand.New(rand.NewSource(seed))
+	samples := make(map[string][]int64, 4)
+	for _, name := range []string{query.Sample1, query.Sample2, query.Sample3, query.Sample4} {
+		samples[name] = g.Sample(rng, selectivity)
+	}
+	return samples
 }
 
 // SampleOfSize draws exactly k distinct vertices (Figures 3–5 use absolute
@@ -135,22 +140,6 @@ func sampleRelation(name string, vals []int64) *relation.Relation {
 		sb.Add(v)
 	}
 	return sb.Build()
-}
-
-// ReplaceSample swaps one named unary sample relation in place (the figure
-// sweeps grow samples without rebuilding edge indexes).
-func ReplaceSample(db *core.DB, name string, vals []int64) {
-	db.Add(sampleRelation(name, vals))
-}
-
-// ReplaceSamples swaps the v1/v2 samples of an existing database in one
-// atomic registration, so concurrent snapshot leases never observe one
-// sample generation mixed with another.
-func ReplaceSamples(db *core.DB, v1, v2 []int64) {
-	db.AddAll([]*relation.Relation{
-		sampleRelation(query.Sample1, v1),
-		sampleRelation(query.Sample2, v2),
-	})
 }
 
 // ReplaceNamedSamples swaps any set of named samples atomically (the

@@ -186,14 +186,18 @@ func TestDBSchema(t *testing.T) {
 	}
 }
 
-func TestReplaceSamples(t *testing.T) {
+func TestReplaceNamedSamples(t *testing.T) {
 	g := Generate(ErdosRenyi, 50, 100, 5)
 	db := DB(g, 10, 42)
-	ReplaceSamples(db, []int64{1, 2, 3}, []int64{4})
+	v3Before, _ := db.Relation(query.Sample3)
+	ReplaceNamedSamples(db, map[string][]int64{query.Sample1: {1, 2, 3}, query.Sample2: {4}})
 	v1, _ := db.Relation(query.Sample1)
 	v2, _ := db.Relation(query.Sample2)
 	if v1.Len() != 3 || v2.Len() != 1 {
-		t.Errorf("ReplaceSamples: v1=%d v2=%d", v1.Len(), v2.Len())
+		t.Errorf("ReplaceNamedSamples: v1=%d v2=%d", v1.Len(), v2.Len())
+	}
+	if v3, _ := db.Relation(query.Sample3); v3 != v3Before {
+		t.Error("ReplaceNamedSamples replaced a sample it was not given")
 	}
 }
 

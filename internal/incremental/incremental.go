@@ -390,40 +390,21 @@ func tuplesToRelation(name string, arity int, tuples [][]int64) *relation.Relati
 	return b.Build()
 }
 
-// GraphView maintains a pattern count over the benchmark graph schema: an
-// undirected edge update touches both the symmetric "edge" relation and the
-// oriented "fwd" relation.
-type GraphView struct {
-	*View
-}
-
-// NewGraphView builds a maintained view over the graph schema.
-func NewGraphView(ctx context.Context, q *query.Query, db *core.DB) (*GraphView, error) {
-	v, err := NewView(ctx, q, db)
-	if err != nil {
-		return nil, err
+// EdgeBatches turns an undirected edge update into the benchmark schema's
+// one atomic batch: both directions into the symmetric "edge" relation and
+// the u<v orientation into "fwd". Self-loops are dropped. Both write paths
+// that keep the schema's invariants, Graph.ApplyEdges and
+// CountView.ApplyEdges, build their batch here.
+func EdgeBatches(insert, remove [][2]int64) []core.DeltaBatch {
+	return []core.DeltaBatch{
+		{Name: query.Edge, Inserts: orient(insert, false), Deletes: orient(remove, false)},
+		{Name: query.Fwd, Inserts: orient(insert, true), Deletes: orient(remove, true)},
 	}
-	return &GraphView{View: v}, nil
 }
 
-// ApplyEdges inserts and removes undirected edges, updating both derived
-// relations and the count as ONE atomic batch: the correction for "edge"
-// and "fwd" is computed jointly against the pre-update state, then both
-// relations land through a single ApplyDeltas — a concurrent snapshot can
-// never observe one updated and not the other.
-func (g *GraphView) ApplyEdges(ctx context.Context, insert, remove [][2]int64) error {
-	return g.Update(ctx, []core.DeltaBatch{
-		{Name: query.Edge, Inserts: Orient(insert, false), Deletes: Orient(remove, false)},
-		{Name: query.Fwd, Inserts: Orient(insert, true), Deletes: Orient(remove, true)},
-	})
-}
-
-// Orient turns undirected edges into benchmark-schema tuples: both
-// directions for the symmetric "edge" relation, or just the u<v orientation
-// for "fwd" (fwdOnly). Self-loops are dropped. Every write path that keeps
-// the benchmark schema's invariants — this view's ApplyEdges and the public
-// Graph.ApplyEdges — routes through it.
-func Orient(edges [][2]int64, fwdOnly bool) [][]int64 {
+// orient turns undirected edges into schema tuples: both directions, or
+// just the u<v orientation (fwdOnly).
+func orient(edges [][2]int64, fwdOnly bool) [][]int64 {
 	var out [][]int64
 	for _, e := range edges {
 		u, v := e[0], e[1]

@@ -13,20 +13,20 @@ func TestTriangleViewInsert(t *testing.T) {
 	ctx := context.Background()
 	// Path 0-1-2: no triangles; inserting 0-2 closes one.
 	db := testutil.GraphDB([][2]int64{{0, 1}, {1, 2}}, nil)
-	v, err := NewGraphView(ctx, query.Clique(3), db)
+	v, err := NewView(ctx, query.Clique(3), db)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if v.Count() != 0 {
 		t.Fatalf("initial count = %d, want 0", v.Count())
 	}
-	if err := v.ApplyEdges(ctx, [][2]int64{{0, 2}}, nil); err != nil {
+	if err := v.Update(ctx, EdgeBatches([][2]int64{{0, 2}}, nil)); err != nil {
 		t.Fatal(err)
 	}
 	if v.Count() != 1 {
 		t.Errorf("after closing the triangle: count = %d, want 1", v.Count())
 	}
-	if err := v.ApplyEdges(ctx, nil, [][2]int64{{1, 2}}); err != nil {
+	if err := v.Update(ctx, EdgeBatches(nil, [][2]int64{{1, 2}})); err != nil {
 		t.Fatal(err)
 	}
 	if v.Count() != 0 {
@@ -37,13 +37,13 @@ func TestTriangleViewInsert(t *testing.T) {
 func TestDuplicateAndMissingUpdatesIgnored(t *testing.T) {
 	ctx := context.Background()
 	db := testutil.GraphDB(testutil.K4, nil)
-	v, err := NewGraphView(ctx, query.Clique(3), db)
+	v, err := NewView(ctx, query.Clique(3), db)
 	if err != nil {
 		t.Fatal(err)
 	}
 	base := v.Count()
 	// Re-inserting an existing edge and deleting a non-edge are no-ops.
-	if err := v.ApplyEdges(ctx, [][2]int64{{0, 1}}, [][2]int64{{0, 9}}); err != nil {
+	if err := v.Update(ctx, EdgeBatches([][2]int64{{0, 1}}, [][2]int64{{0, 9}})); err != nil {
 		t.Fatal(err)
 	}
 	if v.Count() != base {
@@ -61,7 +61,7 @@ func TestRandomChurn(t *testing.T) {
 	queries := []*query.Query{query.Clique(3), query.Clique(4), query.Path(3), query.Comb(), query.Cycle(4)}
 	for _, q := range queries {
 		db := testutil.RandomGraphDB(rng, 12, 30, 2)
-		v, err := NewGraphView(ctx, q, db)
+		v, err := NewView(ctx, q, db)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -78,7 +78,7 @@ func TestRandomChurn(t *testing.T) {
 					del = append(del, e)
 				}
 			}
-			if err := v.ApplyEdges(ctx, ins, del); err != nil {
+			if err := v.Update(ctx, EdgeBatches(ins, del)); err != nil {
 				t.Fatal(err)
 			}
 			want, err := v.Recount(ctx)

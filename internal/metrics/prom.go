@@ -116,9 +116,6 @@ type Sample struct {
 	Value float64
 }
 
-// Label returns the named label's value ("" when absent).
-func (s Sample) Label(k string) string { return s.Labels[k] }
-
 // ParseText parses Prometheus text exposition output — the inverse of
 // WritePrometheus, used by the load harness to cross-check server-side
 // counters against its client-side ledger. Comment and blank lines are

@@ -162,16 +162,6 @@ func New(name string, atoms ...Atom) *Query {
 	return q
 }
 
-// NewHeaded returns a query in rule form: the head names the query and fixes
-// the output variable order. Every head variable must be bound by some body
-// atom (ErrUnboundHeadVar otherwise) and head variables must be distinct. A
-// head naming a strict subset of the body variables is a projection: engines
-// emit only the projected bindings, with duplicates eliminated early at the
-// deepest projected trie level.
-func NewHeaded(name string, head []string, atoms ...Atom) (*Query, error) {
-	return NewRule(name, head, nil, nil, atoms...)
-}
-
 // NewRule is the general constructor: head lists the plain output variables
 // (the group-by keys when aggs is non-empty), aggs the aggregate head terms,
 // and preds the body comparison predicates. Result rows carry the head

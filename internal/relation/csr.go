@@ -167,9 +167,6 @@ func NewCSRCursor(t *CSRTrie) *CSRCursor {
 	}
 }
 
-// Trie returns the underlying CSR trie.
-func (c *CSRCursor) Trie() *CSRTrie { return c.t }
-
 // Depth returns the number of currently opened levels.
 func (c *CSRCursor) Depth() int { return c.depth }
 

@@ -10,7 +10,7 @@ import (
 // plans, and re-preparing any of them must hit its own entry.
 func TestExtendedPlanCacheDimensions(t *testing.T) {
 	g := GenerateGraph(ErdosRenyi, 100, 300, 2)
-	s := g.Store()
+	s := g.Store
 	srcs := []string{
 		"edge(a, b)",
 		"out(a) :- edge(a, b)",

@@ -391,7 +391,7 @@ func TestCountViewDeltaPlanReuse(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	fresh, err := Count(ctx, g, Triangles(), Options{})
+	fresh, err := g.Count(ctx, Triangles(), Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

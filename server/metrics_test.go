@@ -70,7 +70,7 @@ func TestAdmissionOverload(t *testing.T) {
 	ctx := context.Background()
 	g := repro.GenerateGraph(repro.HolmeKim, 80, 220, 3)
 	srv := server.New(server.Config{
-		Stores: map[string]*repro.Store{"adm-overload": g.Store()},
+		Stores: map[string]*repro.Store{"adm-overload": g.Store},
 		Limits: map[string]server.Limits{"adm-overload": {MaxInflight: K, MaxQueued: 0}},
 	})
 	remote := dial(t, serve(t, srv), client.WithStore("adm-overload"), client.WithStreamTuning(1, 1))
@@ -126,7 +126,7 @@ func TestAdmissionQueue(t *testing.T) {
 	ctx := context.Background()
 	g := repro.GenerateGraph(repro.HolmeKim, 80, 220, 3)
 	srv := server.New(server.Config{
-		Stores: map[string]*repro.Store{"adm-queue": g.Store()},
+		Stores: map[string]*repro.Store{"adm-queue": g.Store},
 		Limits: map[string]server.Limits{"adm-queue": {MaxInflight: K, MaxQueued: M}},
 	})
 	remote := dial(t, serve(t, srv), client.WithStore("adm-queue"), client.WithStreamTuning(1, 1))
@@ -165,7 +165,7 @@ func TestMetricsOverWire(t *testing.T) {
 	ctx := context.Background()
 	g := repro.GenerateGraph(repro.HolmeKim, 80, 220, 3)
 	srv := server.New(server.Config{
-		Stores: map[string]*repro.Store{"metr": g.Store()},
+		Stores: map[string]*repro.Store{"metr": g.Store},
 	})
 	remote := dial(t, serve(t, srv), client.WithStore("metr"))
 
@@ -244,7 +244,7 @@ func TestMetricsLeaseGauges(t *testing.T) {
 	ctx := context.Background()
 	g := repro.GenerateGraph(repro.HolmeKim, 60, 150, 3)
 	srv := server.New(server.Config{
-		Stores: map[string]*repro.Store{"metr-lease": g.Store()},
+		Stores: map[string]*repro.Store{"metr-lease": g.Store},
 	})
 	remote := dial(t, serve(t, srv), client.WithStore("metr-lease"))
 

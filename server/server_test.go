@@ -82,7 +82,7 @@ func TestRemoteDifferential(t *testing.T) {
 	ctx := context.Background()
 	g := repro.GenerateGraph(repro.HolmeKim, 150, 520, 3)
 	g.SetSelectivity(15, 5)
-	st := g.Store()
+	st := g.Store
 	remote := dial(t, serve(t, server.NewSingle(st)))
 	for _, q := range corpus() {
 		for _, alg := range []repro.Algorithm{repro.LFTJ, repro.MS} {
@@ -141,7 +141,7 @@ func TestRemoteTxnUnderChurn(t *testing.T) {
 	ctx := context.Background()
 	g := repro.GenerateGraph(repro.BarabasiAlbert, 300, 1200, 7)
 	g.SetSelectivity(10, 3)
-	st := g.Store()
+	st := g.Store
 	remote := dial(t, serve(t, server.NewSingle(st)))
 
 	queries := []*repro.Query{query.Clique(3), query.Path(3), query.Cycle(4)}
@@ -264,7 +264,7 @@ func TestRemoteConcurrentClients(t *testing.T) {
 	ctx := context.Background()
 	g := repro.GenerateGraph(repro.BarabasiAlbert, 200, 800, 11)
 	g.SetSelectivity(10, 3)
-	st := g.Store()
+	st := g.Store
 	addr := serve(t, server.NewSingle(st))
 
 	queries := []*repro.Query{query.Clique(3), query.Path(3)}
@@ -417,7 +417,7 @@ func TestRemoteRowsEarlyStop(t *testing.T) {
 	ctx := context.Background()
 	g := repro.GenerateGraph(repro.BarabasiAlbert, 300, 1200, 5)
 	g.SetSelectivity(4, 1) // thousands of paths — far more than the client consumes
-	st := g.Store()
+	st := g.Store
 	// Tiny chunks and a tiny credit window so the server cannot run far
 	// ahead of the consumer.
 	remote := dial(t, serve(t, server.NewSingle(st)), client.WithStreamTuning(4, 2))
@@ -474,7 +474,7 @@ func TestRemoteRowsEarlyStop(t *testing.T) {
 func TestRemoteRowsContextCancel(t *testing.T) {
 	g := repro.GenerateGraph(repro.BarabasiAlbert, 300, 1200, 6)
 	g.SetSelectivity(4, 1)
-	st := g.Store()
+	st := g.Store
 	remote := dial(t, serve(t, server.NewSingle(st)), client.WithStreamTuning(4, 2))
 
 	q := query.Path(3)
@@ -521,7 +521,7 @@ func TestShutdownDrains(t *testing.T) {
 	ctx := context.Background()
 	g := repro.GenerateGraph(repro.BarabasiAlbert, 300, 1200, 7)
 	g.SetSelectivity(4, 1)
-	srv := server.NewSingle(g.Store())
+	srv := server.NewSingle(g.Store)
 	l, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)

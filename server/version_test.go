@@ -17,7 +17,7 @@ import (
 // typed ErrVersion instead of being served and misparsed.
 func TestHelloVersionMismatch(t *testing.T) {
 	g := repro.NewGraph([][2]int64{{0, 1}, {1, 2}})
-	addr := serve(t, server.NewSingle(g.Store()))
+	addr := serve(t, server.NewSingle(g.Store))
 	nc, err := net.Dial("tcp", addr)
 	if err != nil {
 		t.Fatal(err)

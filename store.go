@@ -47,10 +47,10 @@ func checkDomain(op, name string, arity int, t []int64) error {
 
 // Store is the general-schema workload surface: a named collection of
 // relations of arbitrary arity, queried with conjunctive graph-pattern
-// queries over that schema. Where Graph exposes the paper's fixed §5.1
-// benchmark schema (edge/fwd/v1..v4), a Store lets the caller define the
-// schema — directed graphs, edge-labeled graphs (one relation per label),
-// and arbitrary n-ary relations are all ordinary multi-relation schemas.
+// queries over that schema. The caller defines the schema — directed
+// graphs, edge-labeled graphs (one relation per label), and arbitrary n-ary
+// relations are all ordinary multi-relation schemas. A Graph is a Store
+// whose schema is the paper's fixed §5.1 benchmark schema (edge/fwd/v1..v4).
 //
 // The lifecycle is the one the paper assumes of LogicBlox: define the
 // physical design once (DefineRelation + Load), compile queries against it
@@ -84,7 +84,7 @@ func NewStore() *Store {
 }
 
 // newStoreOver adopts an existing database (the Graph constructors build the
-// benchmark schema through internal/dataset and wrap it as a store).
+// benchmark schema through internal/dataset and embed it as their store).
 func newStoreOver(db *core.DB) *Store {
 	return &Store{db: db}
 }

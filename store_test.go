@@ -29,15 +29,15 @@ func relTuples(t *testing.T, s *Store, name string) [][]int64 {
 func storeFromGraph(t *testing.T, g *Graph) *Store {
 	t.Helper()
 	s := NewStore()
-	for _, name := range g.Store().Relations() {
-		arity, err := g.Store().Arity(name)
+	for _, name := range g.Store.Relations() {
+		arity, err := g.Store.Arity(name)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if err := s.DefineRelation(name, arity); err != nil {
 			t.Fatal(err)
 		}
-		if err := s.Load(name, relTuples(t, g.Store(), name)); err != nil {
+		if err := s.Load(name, relTuples(t, g.Store, name)); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -56,7 +56,7 @@ func TestStoreGraphDifferential(t *testing.T) {
 	for _, q := range corpusQueries() {
 		for _, alg := range []Algorithm{LFTJ, MS} {
 			opts := Options{Algorithm: alg, Workers: 1}
-			want, err := Count(ctx, g, q, opts)
+			want, err := g.Count(ctx, q, opts)
 			if err != nil {
 				t.Fatalf("%s/%s graph: %v", q.Name, alg, err)
 			}
@@ -222,7 +222,7 @@ func TestStoreBatch(t *testing.T) {
 	ctx := context.Background()
 	g := GenerateGraph(HolmeKim, 250, 900, 3)
 	g.SetSelectivity(25, 5)
-	s := g.Store()
+	s := g.Store
 	var reqs []Request
 	var want []int64
 	for _, q := range corpusQueries() {
@@ -342,7 +342,7 @@ func TestTxnUnplanned(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	txn := g.Store().ReadTxn()
+	txn := g.Store.ReadTxn()
 	if _, err := txn.Count(ctx, p); !errors.Is(err, ErrTxnUnplanned) {
 		t.Errorf("unplanned engine in txn: err = %v, want ErrTxnUnplanned", err)
 	}
@@ -527,72 +527,6 @@ func TestPrepareTypedValidation(t *testing.T) {
 	}
 }
 
-// TestCountWithStatsDefaulting pins the documented defaulting contract: the
-// zero Options select ms/sequential (historical behavior), but a caller who
-// sets only Workers gets the normal default engine with those workers — no
-// silent rerouting to ms.
-func TestCountWithStatsDefaulting(t *testing.T) {
-	ctx := context.Background()
-	g := GenerateGraph(BarabasiAlbert, 200, 800, 6)
-	g.SetSelectivity(5, 2)
-	q := Paths(3)
-
-	n0, st0, err := CountWithStats(ctx, g, q, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if st0.Probes == 0 {
-		t.Errorf("empty Options should run ms (probes > 0), stats = %+v", st0)
-	}
-
-	// Regression: Workers-only must not be rerouted to ms — the default
-	// engine is lftj, whose signature counter is Seeks.
-	n1, st1, err := CountWithStats(ctx, g, q, Options{Workers: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if st1.Probes != 0 || st1.Seeks == 0 {
-		t.Errorf("Workers-only Options should run the default engine (lftj): stats = %+v", st1)
-	}
-	if n0 != n1 {
-		t.Errorf("counts disagree across defaulting paths: %d vs %d", n0, n1)
-	}
-
-	// An explicit algorithm is likewise untouched.
-	_, st2, err := CountWithStats(ctx, g, q, Options{Algorithm: LFTJ})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if st2.Probes != 0 {
-		t.Errorf("explicit lftj rerouted: stats = %+v", st2)
-	}
-
-	// Explicit ms with Workers zero still runs sequentially, so its
-	// ablation counters stay deterministic: two runs report identical
-	// counters.
-	_, stA, err := CountWithStats(ctx, g, q, Options{Algorithm: MS})
-	if err != nil {
-		t.Fatal(err)
-	}
-	_, stB, err := CountWithStats(ctx, g, q, Options{Algorithm: MS})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if stA != stB {
-		t.Errorf("explicit-ms counters differ across runs:\n%+v\n%+v", stA, stB)
-	}
-	// The execution-side counters match the defaulted-ms run too; only the
-	// planning block differs (the first run compiled the plan, later runs
-	// hit the cache), so normalize it before comparing.
-	norm := func(st ExecStats) ExecStats {
-		st.PlanCacheHits, st.PlanCacheMisses, st.GAODerivations, st.IndexBindings = 0, 0, 0, 0
-		return st
-	}
-	if norm(stA) != norm(st0) {
-		t.Errorf("explicit ms and defaulted ms diverge:\n%+v\n%+v", stA, st0)
-	}
-}
-
 // TestGraphApplyEdges: the Graph-level incremental write path maintains the
 // benchmark schema's invariants (edge symmetric, fwd oriented) and keeps
 // live CSR-backed handles serving current data.
@@ -614,11 +548,11 @@ func TestGraphApplyEdges(t *testing.T) {
 		t.Fatalf("after insert: triangles = %d err = %v, want 1", n, err)
 	}
 	// The symmetric relation holds both directions of each edge.
-	sym, err := g.Store().ParseQuery("sym", "edge(a, b), edge(b, a)")
+	sym, err := g.Store.ParseQuery("sym", "edge(a, b), edge(b, a)")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if n, err := g.Store().Count(ctx, sym, Options{Workers: 1}); err != nil || n != 6 {
+	if n, err := g.Store.Count(ctx, sym, Options{Workers: 1}); err != nil || n != 6 {
 		t.Fatalf("symmetric pairs = %d err = %v, want 6", n, err)
 	}
 	if err := g.ApplyEdges(nil, [][2]int64{{0, 2}}); err != nil {
@@ -640,12 +574,12 @@ func TestGraphApplyEdges(t *testing.T) {
 		t.Errorf("Edges() = %d, want 3", g.Edges())
 	}
 	g.SetSelectivity(1, 1)
-	hit, err := g.Store().ParseQuery("hit", "v1(a), edge(a, b)")
+	hit, err := g.Store.ParseQuery("hit", "v1(a), edge(a, b)")
 	if err != nil {
 		t.Fatal(err)
 	}
 	var sawNine bool
-	if err := g.Store().Enumerate(ctx, hit, Options{Workers: 1}, func(tu []int64) bool {
+	if err := g.Store.Enumerate(ctx, hit, Options{Workers: 1}, func(tu []int64) bool {
 		if tu[0] == 9 {
 			sawNine = true
 		}
@@ -706,7 +640,7 @@ func TestCountViewApplyEdgesAccounting(t *testing.T) {
 	if g.Edges() != fwd.Len() {
 		t.Errorf("Edges() = %d, fwd holds %d after mixed batch", g.Edges(), fwd.Len())
 	}
-	want, err := Count(ctx, g, Triangles(), Options{})
+	want, err := g.Count(ctx, Triangles(), Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
