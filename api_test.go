@@ -176,22 +176,41 @@ func TestIdeaTogglesAPI(t *testing.T) {
 }
 
 // TestPreparedMSStats pins the ablation counters of a sequential ms
-// handle: probes are counted, Outputs equals the count, and two executions
-// add identical execution counters (only a sequential Minesweeper run is
-// deterministic; partitioned runs probe partition boundaries too).
+// handle: probes are counted and Outputs equals the count.
 func TestPreparedMSStats(t *testing.T) {
-	ctx := context.Background()
-	g := GenerateGraph(BarabasiAlbert, 200, 800, 6)
+	g := GenerateGraph(BarabasiAlbert, 100, 400, 6)
 	g.SetSelectivity(5, 2)
 	p, err := g.Prepare(Paths(3), Options{Algorithm: MS, Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
+	n, err := p.Count(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st := p.Stats(); st.Outputs != n || st.Probes == 0 {
+		t.Errorf("stats = %+v for count %d", st, n)
+	}
+}
+
+// TestPreparedMSStatsDeterministic pins that two executions of a
+// sequential ms handle add identical execution counters (only a sequential
+// Minesweeper run is deterministic; partitioned runs probe partition
+// boundaries too), and that its count agrees with the default engine's.
+func TestPreparedMSStatsDeterministic(t *testing.T) {
+	ctx := context.Background()
+	g := GenerateGraph(BarabasiAlbert, 200, 800, 6)
+	g.SetSelectivity(5, 2)
+	q := Paths(3)
+	p, err := g.Prepare(q, Options{Algorithm: MS, Workers: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
 	var runs [2]ExecStats
+	var n int64
 	for i := range runs {
 		before := p.Stats()
-		n, err := p.Count(ctx)
-		if err != nil {
+		if n, err = p.Count(ctx); err != nil {
 			t.Fatal(err)
 		}
 		runs[i] = p.Stats().Sub(before)
@@ -201,6 +220,13 @@ func TestPreparedMSStats(t *testing.T) {
 	}
 	if runs[0] != runs[1] {
 		t.Errorf("ms counters differ across executions:\n%+v\n%+v", runs[0], runs[1])
+	}
+	want, err := g.Count(ctx, q, Options{Workers: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n != want {
+		t.Errorf("ms count %d, default engine %d", n, want)
 	}
 }
 
